@@ -18,6 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from .majorant import (
+    SMALE_CRITERION_BOUND,
     CubicMajorant,
     MajorantFunction,
     MajorizingSequence,
@@ -41,8 +42,6 @@ __all__ = [
     "check_initial_conditions",
     "verify_error_bound",
 ]
-
-SMALE_CRITERION_BOUND = 3.0 - 2.0 * math.sqrt(2.0)
 
 _DEFAULT_SEQ_TOL = 1e-12
 _BOUND_SLACK = 1.0 + 1e-8

@@ -10,10 +10,13 @@ bounds for the certificate come in closed form: with M = max_s int G(s, t) dt
 eta = lip = 6 |lam| / (8 - 3 |lam|), which certify for |lam| < 32/27.
 
 Discretization is Nystrom style on a uniform grid including both endpoints.
-The kernel integrals are done per grid element with fixed-order Gauss
-quadrature; since every node sits on an element boundary, the kink of
-G(s_i, .) at t = s_i never lands inside a panel. Values between nodes come
-from piecewise-linear interpolation, so the scheme is O(m^-2) accurate.
+Values between nodes come from piecewise-linear interpolation, so the scheme
+is O(m^-2) accurate. The weights integrate G(s_i, .) against each hat
+function exactly, in closed form (the Nystrom product rule for
+piecewise-linear interpolation): every node sits on a panel edge, so the
+kink of G(s_i, .) at t = s_i never lands inside a panel, the integrand is
+quadratic on every panel, and its integral follows from the kernel values
+at the panel ends.
 """
 
 from __future__ import annotations
@@ -105,26 +108,25 @@ def _gauss_panels(edges: np.ndarray, order: int):
     return pts, wts
 
 
-def quadrature_weights(grid: np.ndarray, order: int = _QUAD_ORDER) -> np.ndarray:
+def quadrature_weights(grid: np.ndarray) -> np.ndarray:
     """Matrix W with sum_j W[i, j] g(s_j) ~ int_0^1 G(s_i, t) g(t) dt.
 
     Row i integrates G(s_i, .) against the piecewise-linear interpolant of g
-    on the grid, panel by panel with Gauss quadrature. G(s_i, .) is linear on
-    every panel (the kink sits on a panel edge), so each panel integral is
-    exact and the row sums reproduce int G(s_i, t) dt = s_i (1 - s_i) / 2 to
-    rounding.
+    on the grid. On the panel [t_k, t_k+1] of width h both G(s_i, .) and
+    the two hat functions are linear, so with G_k = G(s_i, t_k) the panel
+    adds h/6 (2 G_k + G_k+1) to the weight of t_k and h/6 (G_k + 2 G_k+1) to
+    that of t_k+1, exactly. The boundary rows are zero and the row sums
+    reproduce int G(s_i, t) dt = s_i (1 - s_i) / 2 to rounding.
     """
     grid = np.asarray(grid, dtype=float)
-    m = grid.size
-    spacing = np.diff(grid)
-    pts, wts = _gauss_panels(grid, order)          # (m-1, order) each
-    # hat-function values on each panel: left node falls off, right ramps up
-    left = (grid[1:, None] - pts) / spacing[:, None]
-    right = (pts - grid[:-1, None]) / spacing[:, None]
-    kernel = green_kernel(grid[:, None, None], pts[None, :, :])  # (m, m-1, order)
-    w = np.zeros((m, m))
-    w[:, :-1] += np.einsum("ikq,kq,kq->ik", kernel, wts, left)
-    w[:, 1:] += np.einsum("ikq,kq,kq->ik", kernel, wts, right)
+    kernel = green_kernel(grid[:, None], grid[None, :])   # G(s_i, t_k)
+    h6 = np.diff(grid) / 6.0
+    # node k takes 2 G_k h/6 from each panel it bounds, plus the far end's
+    # G h/6 from that panel
+    bounded = np.concatenate([h6, [0.0]]) + np.concatenate([[0.0], h6])
+    w = kernel * (2.0 * bounded)
+    w[:, :-1] += kernel[:, 1:] * h6
+    w[:, 1:] += kernel[:, :-1] * h6
     return w
 
 
@@ -146,8 +148,9 @@ def integrate_against_kernel(s: float, func: Callable[[float], float],
 def discretize(spec: HammersteinSpec) -> NonlinearProblem:
     """Nystrom system for the spec: F_i(u) = u_i - f(s_i) - lam sum_j w_ij u_j^p.
 
-    The Jacobian and second-derivative actions fall out of the same weight
-    matrix. Uses the max-norm, in which the analytic bounds are stated.
+    The Jacobian, the second-derivative action and its matrix form
+    F''(u)[., d] = -p (p - 1) lam W diag(u^(p-2) d) fall out of the same
+    weight matrix. Uses the max-norm, in which the analytic bounds are stated.
     """
     grid = uniform_grid(spec.nodes)
     w = quadrature_weights(grid)
@@ -172,12 +175,18 @@ def discretize(spec: HammersteinSpec) -> NonlinearProblem:
         u = np.asarray(u, dtype=float)
         return -p * (p - 1) * lam * (w @ (u ** (p - 2) * np.asarray(v) * np.asarray(z)))
 
+    def eval_second_matrix(u, d):
+        # column j is eval_second(u, e_j, d): W scaled by u_j^(p-2) d_j
+        u = np.asarray(u, dtype=float)
+        return -p * (p - 1) * lam * (w * (u ** (p - 2) * np.asarray(d))[None, :])
+
     return NonlinearProblem(
         dim=spec.nodes,
         eval_f=eval_f,
         eval_jacobian=eval_jacobian,
         eval_second=eval_second,
         norm_kind="max",
+        eval_second_matrix=eval_second_matrix,
     )
 
 

@@ -40,10 +40,19 @@ __all__ = [
     "halley_map",
     "majorizing_sequence",
     "cubic_error_constant",
+    "SMALE_CRITERION_BOUND",
 ]
 
 _ROOT_RESIDUAL_SCALE = 1e-14
 _SLOPE_FLOOR = 1e-12
+
+# alpha = beta * gamma must stay below this for the rational majorant to
+# have two positive zeros.
+SMALE_CRITERION_BOUND = 3.0 - 2.0 * math.sqrt(2.0)
+
+# Entries kept by the roots cache: repeated inputs still hit it, while a
+# sweep over distinct inputs cannot grow it without bound.
+_ROOTS_CACHE_SIZE = 1024
 
 
 class MajorantFunction:
@@ -203,7 +212,7 @@ class SmaleMajorant(MajorantFunction):
 
     def criterion_bound(self) -> float:
         """Criterion threshold for alpha = beta * gamma."""
-        return 3.0 - 2.0 * math.sqrt(2.0)
+        return SMALE_CRITERION_BOUND
 
     def closed_form_roots(self) -> tuple[float, float] | None:
         a = self.alpha
@@ -402,7 +411,7 @@ def _generic_smallest_root(h: MajorantFunction) -> float:
     return _nudge_down(h, t, lambda v: v >= 0.0)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_ROOTS_CACHE_SIZE)
 def _cached_roots(h: MajorantFunction) -> tuple[float, float | None]:
     closed = h.closed_form_roots()
     if closed is not None:

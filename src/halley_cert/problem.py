@@ -10,6 +10,11 @@ H(0) = I. Halley's method corresponds to H(S) = (I - S/2)^{-1}, reached by
 the coefficients (1, 1/2, 1/4, ...); (1,) is Newton and (1, 1/2) is the
 Chebyshev variant. Everywhere else in the package L_F(x) denotes S(x)/2,
 the operator appearing in Halley's closed form (I - L_F)^{-1}.
+
+Every step needs the n-by-n matrix B = F''(x)[., d] with d the Newton
+direction. A problem may supply it whole through the optional
+``eval_second_matrix(x, d)`` hook; without the hook B is assembled column by
+column from n calls to ``eval_second``.
 """
 
 from __future__ import annotations
@@ -58,9 +63,12 @@ class NonlinearProblem:
     """A system F(x) = 0 in R^n with first and second derivative callbacks.
 
     eval_second(x, u, v) must return the vector F''(x)[u, v]; it is expected
-    to be symmetric and bilinear in (u, v). The max-norm (and its induced
-    matrix norm, the max absolute row sum) is the default because the
-    integral-equation bounds are stated in it.
+    to be symmetric and bilinear in (u, v). The optional
+    eval_second_matrix(x, d) returns the n-by-n matrix F''(x)[., d], whose
+    column j is eval_second(x, e_j, d); the solvers use it in place of n
+    eval_second calls per step when it is given. The max-norm (and its
+    induced matrix norm, the max absolute row sum) is the default because
+    the integral-equation bounds are stated in it.
     """
 
     dim: int
@@ -68,6 +76,7 @@ class NonlinearProblem:
     eval_jacobian: Callable[[np.ndarray], np.ndarray]
     eval_second: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     norm_kind: str = "max"
+    eval_second_matrix: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -165,26 +174,54 @@ def _solve_checked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return scipy.linalg.lu_solve(lu_piv, b)
 
 
-def _lf_from_factorization(p: NonlinearProblem, x, lu_piv, d) -> np.ndarray:
-    n = p.dim
-    second_cols = np.empty((n, n), dtype=float)
-    basis = np.eye(n)
-    for j in range(n):
-        second_cols[:, j] = np.asarray(p.eval_second(x, basis[:, j], d), dtype=float)
-    return 0.5 * scipy.linalg.lu_solve(lu_piv, second_cols)
+def _step_pieces(p: NonlinearProblem, x: np.ndarray, fx: np.ndarray):
+    """Shared setup for one step at x with F(x) = fx: the Newton direction d
+    and L_F(x).
 
-
-def _step_pieces(p: NonlinearProblem, x: np.ndarray):
-    """Shared setup for one step: F(x), the Newton direction and L_F(x).
-
-    Both right-hand sides reuse one factorization of the Jacobian.
+    B = F''(x)[., d] comes from the problem's eval_second_matrix when it has
+    one, and otherwise column by column from eval_second. Both right-hand
+    sides, d and L_F = (1/2) F'(x)^{-1} B, reuse one factorization of the
+    Jacobian.
     """
-    fx = np.asarray(p.eval_f(x), dtype=float)
+    n = p.dim
     jac = np.asarray(p.eval_jacobian(x), dtype=float)
     lu_piv = _lu_factor_checked(jac)
     d = scipy.linalg.lu_solve(lu_piv, fx)
-    lf = _lf_from_factorization(p, x, lu_piv, d)
-    return fx, d, lf
+    if p.eval_second_matrix is None:
+        second = np.empty((n, n), dtype=float)
+        basis = np.eye(n)
+        for j in range(n):
+            second[:, j] = np.asarray(p.eval_second(x, basis[:, j], d), dtype=float)
+    else:
+        second = np.asarray(p.eval_second_matrix(x, d), dtype=float)
+        if second.shape != (n, n):
+            raise ValueError(
+                f"eval_second_matrix must return an array of shape {(n, n)}, "
+                f"got {second.shape}")
+    return d, 0.5 * scipy.linalg.lu_solve(lu_piv, second)
+
+
+def _correction(p: NonlinearProblem, x: np.ndarray, fx: np.ndarray,
+                coeffs: tuple[float, ...] | None) -> tuple[np.ndarray, float]:
+    """The step x -> x - correction and |L_F(x)| for Halley (coeffs None) or
+    the series family.
+
+    The family needs the series operator norm, twice |L_F|, to be at most
+    1/2 and raises LFNormExceededError otherwise; Halley only records it.
+    """
+    d, lf = _step_pieces(p, x, fx)
+    lf_norm = p.matrix_norm(lf)
+    if coeffs is None:
+        return _solve_checked(np.eye(p.dim) - lf, d), lf_norm
+    if 2.0 * lf_norm > 0.5:
+        raise LFNormExceededError(
+            f"the series operator norm {2.0 * lf_norm:.6g} exceeds 1/2; "
+            f"the family step is invalid here")
+    return _apply_family(lf, d, coeffs), lf_norm
+
+
+def _eval_f(p: NonlinearProblem, x: np.ndarray) -> np.ndarray:
+    return np.asarray(p.eval_f(x), dtype=float)
 
 
 def lf_matrix(p: NonlinearProblem, x: np.ndarray) -> np.ndarray:
@@ -193,16 +230,13 @@ def lf_matrix(p: NonlinearProblem, x: np.ndarray) -> np.ndarray:
     Column j is (1/2) F'(x)^{-1} F''(x)[e_j, d] with d the Newton direction.
     """
     x = np.asarray(x, dtype=float)
-    _, _, lf = _step_pieces(p, x)
-    return lf
+    return _step_pieces(p, x, _eval_f(p, x))[1]
 
 
 def halley_step(p: NonlinearProblem, x: np.ndarray) -> np.ndarray:
     """One Halley step: x - (I - L_F(x))^{-1} F'(x)^{-1} F(x)."""
     x = np.asarray(x, dtype=float)
-    _, d, lf = _step_pieces(p, x)
-    correction = _solve_checked(np.eye(p.dim) - lf, d)
-    return x - correction
+    return x - _correction(p, x, _eval_f(p, x), None)[0]
 
 
 def _validate_family(coeffs: Sequence[float]) -> tuple[float, ...]:
@@ -245,13 +279,7 @@ def family_step(p: NonlinearProblem, x: np.ndarray,
     """
     coeffs = _validate_family(coeffs)
     x = np.asarray(x, dtype=float)
-    _, d, lf = _step_pieces(p, x)
-    series_norm = 2.0 * p.matrix_norm(lf)
-    if series_norm > 0.5:
-        raise LFNormExceededError(
-            f"the series operator norm {series_norm:.6g} exceeds 1/2; "
-            f"the family step is invalid here")
-    return x - _apply_family(lf, d, coeffs)
+    return x - _correction(p, x, _eval_f(p, x), coeffs)[0]
 
 
 def _solve_loop(p: NonlinearProblem, x0, tol: float, max_iters: int,
@@ -262,7 +290,7 @@ def _solve_loop(p: NonlinearProblem, x0, tol: float, max_iters: int,
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     x = np.array(x0, dtype=float).reshape(p.dim)
     iterates = [x.copy()]
-    fx = np.asarray(p.eval_f(x), dtype=float)
+    fx = _eval_f(p, x)
     residual_norms = [p.vector_norm(fx)]
     step_norms: list[float] = []
     lf_norms: list[float] = []
@@ -275,31 +303,18 @@ def _solve_loop(p: NonlinearProblem, x0, tol: float, max_iters: int,
             stop_reason = "max_iters"
             break
         try:
-            jac = np.asarray(p.eval_jacobian(x), dtype=float)
-            lu_piv = _lu_factor_checked(jac)
-            d = scipy.linalg.lu_solve(lu_piv, fx)
-            lf = _lf_from_factorization(p, x, lu_piv, d)
-            lf_norms.append(p.matrix_norm(lf))
-            if coeffs is None:
-                # |L_F| > 1/2 is recorded above but does not stop Halley
-                correction = _solve_checked(np.eye(p.dim) - lf, d)
-            else:
-                if 2.0 * lf_norms[-1] > 0.5:
-                    raise LFNormExceededError(
-                        f"the series operator norm {2.0 * lf_norms[-1]:.6g} "
-                        f"exceeds 1/2")
-                correction = _apply_family(lf, d, coeffs)
+            # |L_F| > 1/2 is recorded but does not stop Halley
+            correction, lf_norm = _correction(p, x, fx, coeffs)
         except LinearSolveError:
-            del lf_norms[len(step_norms):]
             stop_reason = "linear_solve_failure"
             break
         except LFNormExceededError:
-            del lf_norms[len(step_norms):]
             stop_reason = "lf_norm_exceeded"
             break
+        lf_norms.append(lf_norm)
         x = x - correction
         iterates.append(x.copy())
-        fx = np.asarray(p.eval_f(x), dtype=float)
+        fx = _eval_f(p, x)
         residual_norms.append(p.vector_norm(fx))
         step_norms.append(p.vector_norm(correction))
         if step_norms[-1] <= tol:

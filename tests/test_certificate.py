@@ -274,3 +274,13 @@ def test_verify_error_bound_rejects_bad_inputs():
     stuck = halley_solve(scalar_sqrt2(), np.array([1.3]), tol=1e-12, max_iters=1)
     with pytest.raises(ValueError):
         verify_error_bound(stuck, table_cert())
+
+
+def test_roots_cache_stays_bounded():
+    from halley_cert.majorant import _cached_roots
+    _cached_roots.cache_clear()
+    for k in range(2000):
+        assert kantorovich_certificate(KantorovichInputs(0.1 + 1e-5 * k, 1.2, 1.2)).certified
+    info = _cached_roots.cache_info()
+    assert info.maxsize == 1024
+    assert info.currsize == info.maxsize

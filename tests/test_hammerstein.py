@@ -1,9 +1,12 @@
 """Integral-equation harness tests: quadrature, bounds, radii table, audits."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from halley_cert import (
     HammersteinSpec,
@@ -12,8 +15,12 @@ from halley_cert import (
     analytic_bounds,
     check_initial_conditions,
     discretize,
+    family_solve,
     green_kernel,
+    halley_solve,
+    halley_step,
     integrate_against_kernel,
+    lf_matrix,
     quadrature_weights,
     solve_and_check,
     table1,
@@ -74,6 +81,20 @@ def test_quadrature_row_sums_reproduce_kernel_integral():
         assert np.all(w >= 0.0)
         expected = grid * (1.0 - grid) / 2.0
         assert np.max(np.abs(w.sum(axis=1) - expected)) <= 1e-10
+    # a non-uniform grid against a per-hat reference: integrate G(s_i, .)
+    # times each hat function with the Gauss panel rule, exact for the
+    # quadratic integrand on every panel
+    rng = np.random.default_rng(23)
+    grid = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, 11)), [1.0]])
+    w = quadrature_weights(grid)
+    hats = np.eye(grid.size)
+    reference = np.array([
+        [integrate_against_kernel(s, lambda t, k=k: np.interp(t, grid, hats[k]), grid)
+         for k in range(grid.size)]
+        for s in grid])
+    assert np.max(np.abs(w - reference)) <= 1e-15
+    assert np.all(w[0] == 0.0) and np.all(w[-1] == 0.0)
+    assert np.max(np.abs(w.sum(axis=1) - grid * (1.0 - grid) / 2.0)) <= 1e-15
 
 
 def test_integrate_against_kernel_polynomials():
@@ -113,6 +134,45 @@ def test_discretize_second_derivative_action():
     h = 1e-6
     jac_diff = (p.eval_jacobian(u + h * z) - p.eval_jacobian(u - h * z)) / (2.0 * h)
     assert np.allclose(jac_diff @ v, p.eval_second(u, v, z), rtol=1e-6, atol=1e-7)
+
+
+box_vectors = st.lists(st.floats(-2.0, 2.0), min_size=40, max_size=40).map(np.array)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lam=st.floats(-1.0, 1.0), power=st.sampled_from([2, 3, 4]),
+       n=st.integers(8, 40), u=st.lists(st.floats(0.5, 1.2), min_size=40,
+                                        max_size=40).map(np.array),
+       d=box_vectors, v=box_vectors)
+def test_second_matrix_hook_matches_second_derivative_action(lam, power, n, u, d, v):
+    p = discretize(HammersteinSpec(lam=lam, power=power, nodes=n))
+    u, d, v = u[:n], d[:n], v[:n]
+    b = p.eval_second_matrix(u, d)
+    assert b.shape == (n, n)
+    scale = np.max(np.abs(b) @ np.abs(v))
+    assert np.max(np.abs(b @ v - p.eval_second(u, v, d))) <= 1e-14 * scale
+    # L_F from the hook equals L_F assembled column by column
+    hook = lf_matrix(p, u)
+    columns = lf_matrix(dataclasses.replace(p, eval_second_matrix=None), u)
+    assert np.max(np.abs(hook - columns)) <= 1e-14 * np.max(np.abs(columns))
+
+
+def test_discretized_solves_make_no_per_column_second_derivative_calls():
+    p = discretize(HammersteinSpec(lam=1.0, nodes=32))
+    calls = []
+
+    def counting_second(u, v, z):
+        calls.append(1)
+        return p.eval_second(u, v, z)
+
+    counted = dataclasses.replace(p, eval_second=counting_second)
+    u0 = np.ones(32)
+    assert halley_solve(counted, u0).converged
+    assert family_solve(counted, u0, [0.5 ** k for k in range(8)]).converged
+    assert calls == []
+    # without the hook the same problem falls back to one call per column
+    halley_step(dataclasses.replace(counted, eval_second_matrix=None), u0)
+    assert len(calls) == 32
 
 
 def test_analytic_bounds_values():

@@ -1,5 +1,6 @@
 """Solver-layer tests: steps, traces, the series family, order estimates."""
 
+import dataclasses
 import json
 import math
 
@@ -88,6 +89,15 @@ def test_halley_step_exact_on_linear_problems():
         p = linear_problem(a, b)
         x1 = halley_step(p, rng.standard_normal(4))
         assert np.allclose(x1, np.linalg.solve(a, b), rtol=1e-12, atol=1e-12)
+
+
+def test_second_matrix_hook_shape_is_checked():
+    wrong = dataclasses.replace(scalar_sqrt2(),
+                                eval_second_matrix=lambda x, d: np.zeros((1, 2)))
+    with pytest.raises(ValueError, match="eval_second_matrix"):
+        halley_step(wrong, np.array([1.0]))
+    with pytest.raises(ValueError, match="eval_second_matrix"):
+        halley_solve(wrong, np.array([1.0]))
 
 
 def test_family_coefficient_validation():
