@@ -27,7 +27,7 @@ from .majorant import (
     smallest_root,
     uniqueness_radius,
 )
-from .problem import NonlinearProblem, SolveTrace, _lu_factor_checked
+from .problem import NonlinearProblem, SolveTrace, _lu_factor_checked, vector_norm
 
 __all__ = [
     "KantorovichInputs",
@@ -370,12 +370,7 @@ def verify_error_bound(trace: SolveTrace, cert: ConvergenceCertificate,
 
     xs = [np.asarray(x, dtype=float) for x in trace.iterates]
     limit = xs[-1]
-    if trace.norm_kind == "euclidean":
-        norm = np.linalg.norm
-    else:
-        def norm(v):
-            return np.max(np.abs(v))
-    errors = [float(norm(x - limit)) for x in xs]
+    errors = [vector_norm(x - limit, trace.norm_kind) for x in xs]
 
     t_star = cert.t_star
     points = list(cert.sequence.points)

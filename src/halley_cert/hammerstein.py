@@ -17,6 +17,18 @@ piecewise-linear interpolation): every node sits on a panel edge, so the
 kink of G(s_i, .) at t = s_i never lands inside a panel, the integrand is
 quadratic on every panel, and its integral follows from the kernel values
 at the panel ends.
+
+On the uniform grid with spacing h the weights satisfy K W = M exactly (to
+rounding), where K is the finite-difference Laplacian tridiag(-1, 2, -1)/h^2
+with identity boundary rows and M = tridiag(1, 4, 1)/6, the hat-function
+mass matrix divided by h, has zero boundary rows: the second difference of
+int G(s, t) phi_k(t) dt at s_i is minus the mean of phi_k against the hat
+at s_i. So K F'(u) = K - p lam M diag(u^(p-1)) and
+K F''(u)[., d] = -p (p-1) lam M diag(u^(p-2) d) are tridiagonal, and
+``discretize`` hands the solvers that form with A = K: each Halley step is
+O(n) and only the recorded |L_F| costs an O(n^2) solve. Forming K F(u) in
+floats loses about eps n^2 |F(u)|, so the first step differs from the dense
+one at that level; later steps see smaller residuals and correct it.
 """
 
 from __future__ import annotations
@@ -34,7 +46,14 @@ from .certificate import (
     kantorovich_certificate,
     verify_error_bound,
 )
-from .problem import NonlinearProblem, SolveTrace, family_solve, halley_solve
+from .problem import (
+    NonlinearProblem,
+    SolveTrace,
+    TridiagonalForm,
+    family_solve,
+    halley_solve,
+    vector_norm,
+)
 
 __all__ = [
     "HammersteinSpec",
@@ -150,7 +169,10 @@ def discretize(spec: HammersteinSpec) -> NonlinearProblem:
 
     The Jacobian, the second-derivative action and its matrix form
     F''(u)[., d] = -p (p - 1) lam W diag(u^(p-2) d) fall out of the same
-    weight matrix. Uses the max-norm, in which the analytic bounds are stated.
+    weight matrix. The solvers use the tridiagonal form premultiplied by the
+    finite-difference Laplacian K (see the module docstring) instead; the
+    dense callbacks stay for residuals, audits and callers of their own.
+    Uses the max-norm, in which the analytic bounds are stated.
     """
     grid = uniform_grid(spec.nodes)
     w = quadrature_weights(grid)
@@ -187,7 +209,45 @@ def discretize(spec: HammersteinSpec) -> NonlinearProblem:
         eval_second=eval_second,
         norm_kind="max",
         eval_second_matrix=eval_second_matrix,
+        tridiagonal=_laplacian_form(spec.nodes, lam, p),
     )
+
+
+def _laplacian_form(m: int, lam: float, p: int) -> TridiagonalForm:
+    """The Nystrom system premultiplied by K, with K W = M on the uniform
+    grid of m nodes, in (3, m) diagonal-ordered storage.
+
+    M diag(c) scales column j of M by c_j, which in this storage is column j
+    of the bands, so both step matrices are the bands of K and M with the
+    columns scaled.
+    """
+    inv_h2 = float((m - 1) ** 2)
+    laplacian = np.zeros((3, m))
+    laplacian[1] = 1.0
+    laplacian[1, 1:-1] = 2.0 * inv_h2
+    laplacian[0, 2:] = -inv_h2
+    laplacian[2, :-2] = -inv_h2
+    mass = np.zeros((3, m))
+    mass[1, 1:-1] = 4.0 / 6.0
+    mass[0, 2:] = 1.0 / 6.0
+    mass[2, :-2] = 1.0 / 6.0
+
+    def jacobian(u):
+        u = np.asarray(u, dtype=float)
+        return laplacian - p * lam * (mass * u ** (p - 1))
+
+    def second_matrix(u, d):
+        u = np.asarray(u, dtype=float)
+        return -p * (p - 1) * lam * (mass * (u ** (p - 2) * np.asarray(d)))
+
+    def apply(v):
+        v = np.asarray(v, dtype=float)
+        out = v.copy()
+        out[1:-1] = (2.0 * v[1:-1] - v[:-2] - v[2:]) * inv_h2
+        return out
+
+    return TridiagonalForm(jacobian=jacobian, second_matrix=second_matrix,
+                           apply=apply)
 
 
 def analytic_bounds(lam: float) -> tuple[float, float, float]:
@@ -310,7 +370,7 @@ def solve_and_check(spec: HammersteinSpec, tol: float = 1e-12,
                     f"below {cert.criterion_rhs:.6g}")
 
     limit = np.asarray(trace.iterates[-1], dtype=float)
-    start_distance = float(np.max(np.abs(limit - u0)))
+    start_distance = vector_norm(limit - u0)
     radius = cert.t_star if cert is not None and cert.certified else 0.0
     containment_ok = start_distance <= radius * (1.0 + 1e-8) + 1e-13
 

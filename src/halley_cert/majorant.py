@@ -327,17 +327,44 @@ def _newton_polish(h: MajorantFunction, t: float, steps: int = 3) -> float:
     return t
 
 
-def _nudge_down(h: MajorantFunction, t: float, keep: Callable[[float], bool],
-                max_steps: int = 200) -> float:
-    # Walk down one float at a time until the residual has the wanted sign.
-    # Keeps t* on the h >= 0 side and t** on the h <= 0 side so that interval
-    # properties (l_h >= 0, gaps >= 0) survive rounding.
+def _nudge_down(h: MajorantFunction, t: float,
+                keep: Callable[[float], bool]) -> float:
+    """t if h(t) has the wanted sign, else the float below t that has it
+    while its upper neighbour has not.
+
+    Keeps t* on the h >= 0 side and t** on the h <= 0 side so that interval
+    properties (l_h >= 0, gaps >= 0) survive rounding. Near a double root
+    h is flat and the wrong-signed stretch can span thousands of floats, so
+    the walk down takes strides that double from one unit in the last
+    place, then bisects back to the float whose upper neighbour has the
+    wrong sign. Raises DegenerateRootError when no float in (0, t] has the
+    sign, as at the criterion boundary, where t* and t** merge in floating
+    point and h stays positive on every float.
+    """
     t = float(t)
-    for _ in range(max_steps):
-        if keep(h.value(t)):
-            return t
-        t = math.nextafter(t, 0.0)
-    return t
+    if keep(h.value(t)):
+        return t
+    hi = t
+    stride = math.ulp(t)
+    smallest = math.nextafter(0.0, 1.0)
+    while True:
+        lo = max(t - stride, smallest)
+        if lo >= hi:
+            raise DegenerateRootError(
+                f"no float in (0, {t!r}] gives h the sign wanted at a zero; "
+                "the zeros of h have merged in floating point")
+        if keep(h.value(lo)):
+            break
+        hi = lo
+        stride *= 2.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return lo
+        if keep(h.value(mid)):
+            lo = mid
+        else:
+            hi = mid
 
 
 def _locate_minimum(h: MajorantFunction) -> float | None:
@@ -542,7 +569,7 @@ def check_assumptions(h: MajorantFunction, grid_size: int = 64) -> AssumptionRep
         try:
             t_star = smallest_root(h)
             slope = h.deriv(t_star)
-        except NoRootError as exc:
+        except (NoRootError, DegenerateRootError) as exc:
             notes.append(str(exc))
     a3 = t_star is not None and t_star > 0.0 and slope is not None \
         and slope < -_SLOPE_FLOOR

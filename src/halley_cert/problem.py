@@ -12,9 +12,21 @@ Chebyshev variant. Everywhere else in the package L_F(x) denotes S(x)/2,
 the operator appearing in Halley's closed form (I - L_F)^{-1}.
 
 Every step needs the n-by-n matrix B = F''(x)[., d] with d the Newton
-direction. A problem may supply it whole through the optional
-``eval_second_matrix(x, d)`` hook; without the hook B is assembled column by
-column from n calls to ``eval_second``.
+direction. The Halley correction y = (I - L_F)^{-1} d solves the same
+system as (F'(x) - B/2) y = F(x), so it costs one more factorization and no
+matrix L_F. The family and the recorded norm |L_F| still use
+L_F = (1/2) F'(x)^{-1} B, formed by one multi-right-hand-side solve.
+
+The step systems are dense by default: B comes whole from the optional
+``eval_second_matrix(x, d)`` hook or column by column from n calls to
+``eval_second``, and every factorization is a dense LU. A problem whose
+systems become tridiagonal after premultiplication by a fixed nonsingular
+matrix A can say so through the optional ``tridiagonal`` hook
+(:class:`TridiagonalForm`). The solvers then factor A F'(x) and
+A F'(x) - A B / 2 with LAPACK's tridiagonal gttrf in O(n) and solve against
+A F(x). Halley's method and its family are affine invariant, so the
+iterates are those of the dense systems up to rounding; residuals and stop
+tests always read the original F.
 """
 
 from __future__ import annotations
@@ -26,11 +38,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 from .exceptions import LFNormExceededError, LinearSolveError
 
 __all__ = [
     "NonlinearProblem",
+    "TridiagonalForm",
     "SolveTrace",
     "STOP_REASONS",
     "lf_matrix",
@@ -40,6 +54,7 @@ __all__ = [
     "family_solve",
     "estimate_q_order",
     "second_derivative_from_tensor",
+    "vector_norm",
 ]
 
 STOP_REASONS = frozenset({
@@ -54,8 +69,37 @@ _CONVERGED_REASONS = frozenset({"residual_below_tol", "step_below_tol"})
 
 _NORM_KINDS = ("max", "euclidean")
 
-# Relative pivot threshold for declaring a dense factorization singular.
+# Relative pivot threshold for declaring a factorization singular.
 _PIVOT_RTOL = 1e-13
+
+
+def vector_norm(v, kind: str = "max") -> float:
+    """The Euclidean norm of v for kind "euclidean", else its max norm.
+
+    The max norm of an empty vector is 0.
+    """
+    v = np.asarray(v, dtype=float)
+    if kind == "euclidean":
+        return float(np.linalg.norm(v))
+    return float(np.max(np.abs(v))) if v.size else 0.0
+
+
+@dataclass(frozen=True)
+class TridiagonalForm:
+    """A problem's step systems premultiplied into tridiagonal form.
+
+    For a fixed nonsingular n-by-n matrix A that the problem chooses,
+    ``jacobian(x)`` returns A F'(x), ``second_matrix(x, d)`` returns
+    A F''(x)[., d] and ``apply(v)`` returns A v. The two matrices come as
+    (3, n) arrays in the diagonal-ordered storage of
+    ``scipy.linalg.solve_banded`` with one band on each side: row 0 holds
+    the superdiagonal in columns 1 to n-1, row 1 the diagonal, row 2 the
+    subdiagonal in columns 0 to n-2, and the two unused corners are ignored.
+    """
+
+    jacobian: Callable[[np.ndarray], np.ndarray]
+    second_matrix: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    apply: Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -66,9 +110,13 @@ class NonlinearProblem:
     to be symmetric and bilinear in (u, v). The optional
     eval_second_matrix(x, d) returns the n-by-n matrix F''(x)[., d], whose
     column j is eval_second(x, e_j, d); the solvers use it in place of n
-    eval_second calls per step when it is given. The max-norm (and its
-    induced matrix norm, the max absolute row sum) is the default because
-    the integral-equation bounds are stated in it.
+    eval_second calls per step when it is given. The optional
+    ``tridiagonal`` hook replaces both dense step systems by their
+    premultiplied tridiagonal forms (see :class:`TridiagonalForm`); the
+    solvers then never call eval_jacobian, eval_second or
+    eval_second_matrix, and it needs dim >= 3. The max-norm (and its induced
+    matrix norm, the max absolute row sum) is the default because the
+    integral-equation bounds are stated in it.
     """
 
     dim: int
@@ -77,6 +125,7 @@ class NonlinearProblem:
     eval_second: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     norm_kind: str = "max"
     eval_second_matrix: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    tridiagonal: TridiagonalForm | None = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -84,12 +133,12 @@ class NonlinearProblem:
         if self.norm_kind not in _NORM_KINDS:
             raise ValueError(
                 f"norm_kind must be one of {_NORM_KINDS}, got {self.norm_kind!r}")
+        if self.tridiagonal is not None and self.dim < 3:
+            raise ValueError(
+                f"a tridiagonal form needs dim >= 3, got {self.dim}")
 
     def vector_norm(self, v: np.ndarray) -> float:
-        v = np.asarray(v, dtype=float)
-        if self.norm_kind == "max":
-            return float(np.max(np.abs(v))) if v.size else 0.0
-        return float(np.linalg.norm(v))
+        return vector_norm(v, self.norm_kind)
 
     def matrix_norm(self, a: np.ndarray) -> float:
         a = np.asarray(a, dtype=float)
@@ -144,7 +193,18 @@ class SolveTrace:
 
 
 # ---------------------------------------------------------------------------
-# dense linear algebra with an explicit singularity guard
+# factorizations with an explicit singularity guard
+
+
+def _check_pivots(pivots: np.ndarray, column_scale: np.ndarray) -> None:
+    bad = pivots <= _PIVOT_RTOL * column_scale
+    if np.any(bad):
+        worst = int(np.argmax(bad))
+        biggest = float(pivots.max()) if pivots.size else 0.0
+        raise LinearSolveError(
+            f"factorization pivot {pivots[worst]:.3e} in column {worst} fell below "
+            f"{_PIVOT_RTOL:g} of the column magnitude {column_scale[worst]:.3e} "
+            f"(largest pivot {biggest:.3e}); treating the matrix as singular")
 
 
 def _lu_factor_checked(a: np.ndarray):
@@ -157,48 +217,99 @@ def _lu_factor_checked(a: np.ndarray):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         lu, piv = scipy.linalg.lu_factor(a)
-    pivots = np.abs(np.diag(lu))
-    bad = pivots <= _PIVOT_RTOL * column_scale
-    if np.any(bad):
-        worst = int(np.argmax(bad))
-        biggest = float(pivots.max()) if pivots.size else 0.0
-        raise LinearSolveError(
-            f"factorization pivot {pivots[worst]:.3e} in column {worst} fell below "
-            f"{_PIVOT_RTOL:g} of the column magnitude {column_scale[worst]:.3e} "
-            f"(largest pivot {biggest:.3e}); treating the matrix as singular")
+    _check_pivots(np.abs(np.diag(lu)), column_scale)
     return lu, piv
 
 
-def _solve_checked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _dense_factor(a: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     lu_piv = _lu_factor_checked(a)
-    return scipy.linalg.lu_solve(lu_piv, b)
+    return lambda b: scipy.linalg.lu_solve(lu_piv, b)
 
 
-def _step_pieces(p: NonlinearProblem, x: np.ndarray, fx: np.ndarray):
-    """Shared setup for one step at x with F(x) = fx: the Newton direction d
-    and L_F(x).
+def _tridiagonal_factor(bands: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """gttrf factorization of a tridiagonal matrix in (3, n) storage, behind
+    the guards of _lu_factor_checked; returns the gttrs solve."""
+    sup, diag, sub = bands[0, 1:], bands[1], bands[2, :-1]
+    if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(sup))
+            and np.all(np.isfinite(sub))):
+        raise LinearSolveError("matrix contains non-finite entries")
+    column_scale = np.abs(diag)
+    column_scale[1:] = np.maximum(column_scale[1:], np.abs(sup))
+    column_scale[:-1] = np.maximum(column_scale[:-1], np.abs(sub))
+    dl, d, du, du2, ipiv, _ = lapack.dgttrf(sub, diag, sup)
+    # gttrf stops at an exact zero pivot, which the guard below catches too
+    _check_pivots(np.abs(d), column_scale)
 
-    B = F''(x)[., d] comes from the problem's eval_second_matrix when it has
-    one, and otherwise column by column from eval_second. Both right-hand
-    sides, d and L_F = (1/2) F'(x)^{-1} B, reuse one factorization of the
-    Jacobian.
-    """
+    def solve(b: np.ndarray) -> np.ndarray:
+        return lapack.dgttrs(dl, d, du, du2, ipiv, b)[0]
+
+    return solve
+
+
+def _tridiagonal_dense(bands: np.ndarray) -> np.ndarray:
+    """The n-by-n matrix of (3, n) tridiagonal storage, in Fortran order."""
+    n = bands.shape[1]
+    a = np.zeros((n, n), order="F")
+    i = np.arange(n)
+    a[i, i] = bands[1]
+    a[i[:-1], i[1:]] = bands[0, 1:]
+    a[i[1:], i[:-1]] = bands[2, :-1]
+    return a
+
+
+def _shaped(a, shape: tuple[int, int], name: str) -> np.ndarray:
+    a = np.asarray(a, dtype=float)
+    if a.shape != shape:
+        raise ValueError(
+            f"{name} must return an array of shape {shape}, got {a.shape}")
+    return a
+
+
+def _second_matrix(p: NonlinearProblem, x: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """A B with B = F''(x)[., d]: tridiagonal storage under the problem's
+    tridiagonal form, else the dense B from eval_second_matrix or, without
+    that hook, column by column from eval_second."""
     n = p.dim
-    jac = np.asarray(p.eval_jacobian(x), dtype=float)
-    lu_piv = _lu_factor_checked(jac)
-    d = scipy.linalg.lu_solve(lu_piv, fx)
-    if p.eval_second_matrix is None:
-        second = np.empty((n, n), dtype=float)
-        basis = np.eye(n)
-        for j in range(n):
-            second[:, j] = np.asarray(p.eval_second(x, basis[:, j], d), dtype=float)
+    if p.tridiagonal is not None:
+        return _shaped(p.tridiagonal.second_matrix(x, d), (3, n),
+                       "tridiagonal.second_matrix")
+    if p.eval_second_matrix is not None:
+        return _shaped(p.eval_second_matrix(x, d), (n, n), "eval_second_matrix")
+    second = np.empty((n, n), dtype=float)
+    basis = np.eye(n)
+    for j in range(n):
+        second[:, j] = np.asarray(p.eval_second(x, basis[:, j], d), dtype=float)
+    return second
+
+
+def _step_pieces(p: NonlinearProblem, x: np.ndarray, fx: np.ndarray,
+                 halley: bool = False):
+    """Shared setup for one step at x with F(x) = fx: the Newton direction d,
+    L_F(x) and, if ``halley`` is set, the Halley correction (else None).
+
+    The step systems are A F'(x), A B with B = F''(x)[., d] and A F(x),
+    where A is the problem's premultiplier under its tridiagonal form
+    (factored by gttrf) and the identity otherwise (dense LU). One
+    factorization of A F'(x) gives d and L_F = (1/2) (A F'(x))^{-1} (A B);
+    the Halley correction solves (A F'(x) - A B / 2) y = A F(x), the same
+    system as (I - L_F) y = d.
+    """
+    tri = p.tridiagonal
+    if tri is None:
+        jac = np.asarray(p.eval_jacobian(x), dtype=float)
+        rhs = fx
+        factor = _dense_factor
     else:
-        second = np.asarray(p.eval_second_matrix(x, d), dtype=float)
-        if second.shape != (n, n):
-            raise ValueError(
-                f"eval_second_matrix must return an array of shape {(n, n)}, "
-                f"got {second.shape}")
-    return d, 0.5 * scipy.linalg.lu_solve(lu_piv, second)
+        jac = _shaped(tri.jacobian(x), (3, p.dim), "tridiagonal.jacobian")
+        rhs = np.asarray(tri.apply(fx), dtype=float)
+        factor = _tridiagonal_factor
+    solve = factor(jac)
+    d = solve(rhs)
+    second = _second_matrix(p, x, d)
+    lf = 0.5 * solve(second if tri is None else _tridiagonal_dense(second))
+    if not halley:
+        return d, lf, None
+    return d, lf, factor(jac - 0.5 * second)(rhs)
 
 
 def _correction(p: NonlinearProblem, x: np.ndarray, fx: np.ndarray,
@@ -209,10 +320,10 @@ def _correction(p: NonlinearProblem, x: np.ndarray, fx: np.ndarray,
     The family needs the series operator norm, twice |L_F|, to be at most
     1/2 and raises LFNormExceededError otherwise; Halley only records it.
     """
-    d, lf = _step_pieces(p, x, fx)
+    d, lf, halley = _step_pieces(p, x, fx, halley=coeffs is None)
     lf_norm = p.matrix_norm(lf)
     if coeffs is None:
-        return _solve_checked(np.eye(p.dim) - lf, d), lf_norm
+        return halley, lf_norm
     if 2.0 * lf_norm > 0.5:
         raise LFNormExceededError(
             f"the series operator norm {2.0 * lf_norm:.6g} exceeds 1/2; "
@@ -365,13 +476,9 @@ def estimate_q_order(trace: SolveTrace) -> float | None:
     if len(xs) < 4:
         return None
     limit = xs[-1]
-    if trace.norm_kind == "euclidean":
-        norm = np.linalg.norm
-    else:
-        def norm(v):
-            return np.max(np.abs(v))
-    errors = [float(norm(x - limit)) for x in xs[:-1]]
-    floor = 100.0 * np.finfo(float).eps * max(1.0, float(norm(limit)))
+    errors = [vector_norm(x - limit, trace.norm_kind) for x in xs[:-1]]
+    floor = 100.0 * np.finfo(float).eps * max(
+        1.0, vector_norm(limit, trace.norm_kind))
     pairs = [(math.log(a), math.log(b))
              for a, b in zip(errors, errors[1:])
              if a > floor and b > floor]

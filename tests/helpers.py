@@ -74,6 +74,13 @@ def quadratic_problem(rng, dim: int, series_target: float = 0.4):
     return p, x0
 
 
+def band_matrix(bands: np.ndarray) -> np.ndarray:
+    """The dense matrix of (3, n) tridiagonal storage: superdiagonal in row 0
+    from column 1, diagonal in row 1, subdiagonal in row 2 up to column n-2."""
+    return (np.diag(bands[1]) + np.diag(bands[0, 1:], 1)
+            + np.diag(bands[2, :-1], -1))
+
+
 def premultiplied(p: NonlinearProblem, m: np.ndarray) -> NonlinearProblem:
     """The problem x -> m F(x): same roots and same Halley iterates."""
     return NonlinearProblem(

@@ -2,13 +2,15 @@
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from halley_cert import (
+    HalleyCertError,
     HammersteinSpec,
     LAMBDA_CRITERION_LIMIT,
     LAMBDA_DOMAIN_LIMIT,
@@ -27,7 +29,9 @@ from halley_cert import (
     table1_csv,
     uniform_grid,
 )
+from halley_cert import hammerstein
 from halley_cert.majorant import CubicMajorant
+from helpers import band_matrix
 
 # existence/uniqueness radii for the reference couplings, from the
 # closed-form criterion at full precision
@@ -145,16 +149,20 @@ box_vectors = st.lists(st.floats(-2.0, 2.0), min_size=40, max_size=40).map(np.ar
                                         max_size=40).map(np.array),
        d=box_vectors, v=box_vectors)
 def test_second_matrix_hook_matches_second_derivative_action(lam, power, n, u, d, v):
-    p = discretize(HammersteinSpec(lam=lam, power=power, nodes=n))
+    # a subnormal lam leaves results with fewer significant bits than a
+    # relative 1e-14 asks for; the smallest normal float is the absolute floor
+    tiny = np.finfo(float).tiny
+    p = dataclasses.replace(discretize(HammersteinSpec(lam=lam, power=power, nodes=n)),
+                            tridiagonal=None)
     u, d, v = u[:n], d[:n], v[:n]
     b = p.eval_second_matrix(u, d)
     assert b.shape == (n, n)
     scale = np.max(np.abs(b) @ np.abs(v))
-    assert np.max(np.abs(b @ v - p.eval_second(u, v, d))) <= 1e-14 * scale
+    assert np.max(np.abs(b @ v - p.eval_second(u, v, d))) <= 1e-14 * scale + tiny
     # L_F from the hook equals L_F assembled column by column
     hook = lf_matrix(p, u)
     columns = lf_matrix(dataclasses.replace(p, eval_second_matrix=None), u)
-    assert np.max(np.abs(hook - columns)) <= 1e-14 * np.max(np.abs(columns))
+    assert np.max(np.abs(hook - columns)) <= 1e-14 * np.max(np.abs(columns)) + tiny
 
 
 def test_discretized_solves_make_no_per_column_second_derivative_calls():
@@ -170,9 +178,77 @@ def test_discretized_solves_make_no_per_column_second_derivative_calls():
     assert halley_solve(counted, u0).converged
     assert family_solve(counted, u0, [0.5 ** k for k in range(8)]).converged
     assert calls == []
-    # without the hook the same problem falls back to one call per column
-    halley_step(dataclasses.replace(counted, eval_second_matrix=None), u0)
+    # without either hook the same problem falls back to one call per column
+    halley_step(dataclasses.replace(counted, eval_second_matrix=None,
+                                    tridiagonal=None), u0)
     assert len(calls) == 32
+
+
+def test_tridiagonal_form_is_the_laplacian_times_the_dense_system():
+    rng = np.random.default_rng(29)
+    for m, power in ((8, 2), (33, 3), (200, 4)):
+        p = discretize(HammersteinSpec(lam=0.9, power=power, nodes=m))
+        tri = p.tridiagonal
+        k = np.array([tri.apply(e) for e in np.eye(m)]).T
+        # K W = M: tridiag(1, 4, 1)/6 inside, zero boundary rows
+        kw = k @ quadrature_weights(uniform_grid(m))
+        mass = (4.0 * np.eye(m) + np.eye(m, k=1) + np.eye(m, k=-1)) / 6.0
+        mass[[0, -1]] = 0.0
+        assert np.max(np.abs(kw - mass)) <= 1e-11
+        u = 1.0 + 0.1 * rng.uniform(size=m)
+        d = rng.standard_normal(m)
+        kj = k @ p.eval_jacobian(u)
+        assert np.max(np.abs(band_matrix(tri.jacobian(u)) - kj)) <= 1e-13 * np.max(np.abs(kj))
+        kb = k @ p.eval_second_matrix(u, d)
+        assert np.max(np.abs(band_matrix(tri.second_matrix(u, d)) - kb)) <= (
+            1e-12 * np.max(np.abs(kb)))
+
+
+_discretize = hammerstein.discretize
+_METHODS = {"halley": None, "chebyshev": (1.0, 0.5),
+            "family": tuple(0.5 ** k for k in range(8))}
+
+
+def _dense_discretize(spec):
+    return dataclasses.replace(_discretize(spec), tridiagonal=None)
+
+
+def _report_or_error(spec, coeffs):
+    # the certificate for |lam| below about 1e-110 raises; parity then means
+    # the same failure on both paths
+    try:
+        return solve_and_check(spec, coeffs=coeffs), None
+    except (HalleyCertError, ArithmeticError, np.linalg.LinAlgError) as exc:
+        return None, exc
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(8, 300), lam=st.floats(-1.0, 1.15), power=st.integers(2, 4),
+       bump=st.none() | st.floats(-0.5, 0.5), method=st.sampled_from(sorted(_METHODS)))
+def test_tridiagonal_solves_match_dense_solves(n, lam, power, bump, method):
+    forcing = None if bump is None else (lambda s: 1.0 + bump * math.sin(math.pi * s))
+    spec = HammersteinSpec(lam=lam, power=power, nodes=n, forcing=forcing)
+    with mock.patch.object(hammerstein, "discretize", _dense_discretize):
+        dense, dense_error = _report_or_error(spec, _METHODS[method])
+    tri, tri_error = _report_or_error(spec, _METHODS[method])
+    assert type(tri_error) is type(dense_error)
+    # Past |L_F| = 1/2 a Halley step can magnify rounding without bound, and
+    # runs that wander there (|L_F| up to 37 at lam = 1, power 3, forcing
+    # 1 + sin(pi s)/2) part at 1e-12 between any two dense step forms
+    # within three steps; parity is asked where every step is well-posed.
+    assume(dense_error is None and dense.trace.converged
+           and max(dense.trace.lf_norms, default=0.0) <= 0.5)
+    assert tri.trace.stop_reason == dense.trace.stop_reason
+    assert len(tri.trace.step_norms) == len(dense.trace.step_norms)
+    assert tri.containment_ok == dense.containment_ok
+    assert (tri.error_bounds is None) == (dense.error_bounds is None)
+    if dense.error_bounds is not None:
+        assert tri.error_bounds.all_ok == dense.error_bounds.all_ok
+    diffs = [np.max(np.abs(a - b)) for a, b in zip(tri.trace.iterates, dense.trace.iterates)]
+    assert diffs[-1] <= 1e-13
+    assert max(diffs) <= 1e-11
+    assert np.max(np.abs(np.subtract(tri.trace.lf_norms, dense.trace.lf_norms)),
+                  initial=0.0) <= 1e-10
 
 
 def test_analytic_bounds_values():

@@ -21,6 +21,7 @@ from halley_cert import (
     smallest_root,
     uniqueness_radius,
 )
+from halley_cert.majorant import _nudge_down
 from helpers import SMALE_BOUND, oracle_roots, random_certified_cubic, random_certified_smale
 
 TABLE_CUBIC = CubicMajorant(0.2, 1.2, 1.2)
@@ -105,6 +106,27 @@ def test_smale_double_root_at_boundary():
     assert t_star == pytest.approx(expected, rel=1e-7)
     assert t_outer == pytest.approx(expected, rel=1e-7)
     assert t_star <= t_outer
+
+
+def test_roots_keep_their_sign_where_the_majorant_is_flat():
+    # h' is 5e-4 at t**, so the float closed form sits about 5,000 floats
+    # above the last float with h <= 0, beyond a float-by-float walk
+    h = SmaleMajorant(beta=0.2612764718455344, gamma=0.6566716579716894)
+    t_star, t_outer = h.closed_form_roots()
+    assert h.value(t_star) >= 0.0
+    assert h.value(t_outer) <= 0.0
+    assert h.value(math.nextafter(t_outer, 1.0)) > 0.0
+    assert t_star < t_outer
+    assert uniqueness_radius(h) == t_outer
+
+
+def test_nudge_without_a_float_of_the_wanted_sign_raises():
+    h = CubicMajorant(0.2, 1.2, 1.2)
+    # h > 0 on all of (0, t*/2]
+    with pytest.raises(DegenerateRootError):
+        _nudge_down(h, 0.5 * smallest_root(h), lambda v: v <= 0.0)
+    with pytest.raises(DegenerateRootError):
+        _nudge_down(h, 0.0, lambda v: v < 0.0)
 
 
 def test_smale_beta_zero():

@@ -9,9 +9,11 @@ import pytest
 
 from halley_cert import (
     LFNormExceededError,
+    LinearSolveError,
     NonlinearProblem,
     SolveTrace,
     STOP_REASONS,
+    TridiagonalForm,
     estimate_q_order,
     family_solve,
     family_step,
@@ -20,7 +22,13 @@ from halley_cert import (
     lf_matrix,
     second_derivative_from_tensor,
 )
-from helpers import linear_problem, premultiplied, quadratic_problem, scalar_sqrt2
+from helpers import (
+    band_matrix,
+    linear_problem,
+    premultiplied,
+    quadratic_problem,
+    scalar_sqrt2,
+)
 
 HALLEY_COEFFS_60 = tuple(0.5 ** k for k in range(60))
 
@@ -98,6 +106,54 @@ def test_second_matrix_hook_shape_is_checked():
         halley_step(wrong, np.array([1.0]))
     with pytest.raises(ValueError, match="eval_second_matrix"):
         halley_solve(wrong, np.array([1.0]))
+
+
+def _tridiagonal_linear(bands: np.ndarray) -> NonlinearProblem:
+    """F(x) = T x - 1 for the tridiagonal T stored in bands, with A = I."""
+    n = bands.shape[1]
+    form = TridiagonalForm(jacobian=lambda x: bands,
+                           second_matrix=lambda x, d: np.zeros((3, n)),
+                           apply=lambda v: np.array(v, dtype=float))
+    return dataclasses.replace(linear_problem(band_matrix(bands), np.ones(n)),
+                               tridiagonal=form)
+
+
+def test_tridiagonal_form_solves_like_the_dense_system():
+    bands = np.array([[0.0, 1.0, -0.5, 2.0],
+                      [4.0, 3.0, 5.0, 4.0],
+                      [1.0, 0.5, -1.0, 0.0]])
+    p = _tridiagonal_linear(bands)
+    x1 = halley_step(p, np.zeros(4))
+    dense = dataclasses.replace(p, tridiagonal=None)
+    assert np.max(np.abs(x1 - halley_step(dense, np.zeros(4)))) <= 1e-15
+    assert np.max(np.abs(p.eval_f(x1))) <= 1e-15
+
+
+def test_near_singular_tridiagonal_form_is_a_linear_solve_failure():
+    # rows 0 and 1 agree to 1e-15: the second pivot falls below the guard
+    bands = np.array([[0.0, 1.0, 0.0],
+                      [1.0, 1.0 + 1e-15, 1.0],
+                      [1.0, 0.0, 0.0]])
+    p = _tridiagonal_linear(bands)
+    with pytest.raises(LinearSolveError, match="in column 1"):
+        halley_step(p, np.zeros(3))
+    trace = halley_solve(p, np.zeros(3))
+    assert trace.stop_reason == "linear_solve_failure"
+    assert len(trace.iterates) == 1 and trace.lf_norms == []
+
+    bands[1, 2] = np.nan
+    with pytest.raises(LinearSolveError, match="non-finite"):
+        halley_step(_tridiagonal_linear(bands), np.zeros(3))
+
+
+def test_tridiagonal_form_shape_and_size_are_checked():
+    p = _tridiagonal_linear(np.ones((3, 4)))
+    wrong = dataclasses.replace(p, tridiagonal=dataclasses.replace(
+        p.tridiagonal, jacobian=lambda x: np.ones((4, 4))))
+    with pytest.raises(ValueError, match="tridiagonal.jacobian"):
+        halley_step(wrong, np.zeros(4))
+    with pytest.raises(ValueError, match="dim >= 3"):
+        dataclasses.replace(scalar_sqrt2(), tridiagonal=p.tridiagonal)
 
 
 def test_family_coefficient_validation():
