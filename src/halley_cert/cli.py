@@ -24,6 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._format import float_text
 from .certificate import (
     KantorovichInputs,
     SmaleInputs,
@@ -54,7 +55,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _render_json(value, digits: int = 17) -> str:
+def _render_json(value) -> str:
     if value is None:
         return "null"
     if isinstance(value, (bool, np.bool_)):
@@ -67,16 +68,19 @@ def _render_json(value, digits: int = 17) -> str:
             return "NaN"
         if math.isinf(x):
             return "Infinity" if x > 0 else "-Infinity"
-        return format(x, f".{digits}g")
+        return float_text(x)
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, dict):
         body = ", ".join(
-            f"{json.dumps(str(k))}: {_render_json(v, digits)}"
-            for k, v in value.items())
+            f"{json.dumps(str(k))}: {_render_json(v)}" for k, v in value.items())
         return "{" + body + "}"
     if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_render_json(v, digits) for v in value) + "]"
+        # a list of finite floats, such as an iterate, skips the per-item
+        # dispatch; a sum that is not finite sends it down the general path
+        if set(map(type, value)) == {float} and math.isfinite(sum(value)):
+            return "[" + ", ".join(map(float_text, value)) + "]"
+        return "[" + ", ".join(map(_render_json, value)) + "]"
     raise TypeError(f"cannot render {type(value).__name__} as json")
 
 
@@ -134,7 +138,7 @@ def _csv_row(header: Sequence[str], values: Sequence) -> str:
         elif isinstance(v, (bool, np.bool_)):
             cells.append("true" if v else "false")
         elif isinstance(v, (float, np.floating)):
-            cells.append(format(float(v), ".17g"))
+            cells.append(float_text(v))
         else:
             cells.append(str(v))
     return ",".join(header) + "\n" + ",".join(cells) + "\n"

@@ -25,20 +25,32 @@ mass matrix divided by h, has zero boundary rows: the second difference of
 int G(s, t) phi_k(t) dt at s_i is minus the mean of phi_k against the hat
 at s_i. So K F'(u) = K - p lam M diag(u^(p-1)) and
 K F''(u)[., d] = -p (p-1) lam M diag(u^(p-2) d) are tridiagonal, and
-``discretize`` hands the solvers that form with A = K: each Halley step is
-O(n) and only the recorded |L_F| costs an O(n^2) solve. Forming K F(u) in
-floats loses about eps n^2 |F(u)|, so the first step differs from the dense
-one at that level; later steps see smaller residuals and correct it.
+``discretize`` hands the solvers that form with A = K. Every column of
+K F''(u)[., d] has one sign, and on the states tried (|lam| <= 1.15,
+powers 2 to 4, u in [0.5, 1.2]) K F'(u) proves to be an M-matrix, so the
+recorded |L_F| takes one more O(n) solve too (see ``problem``); the O(n^2)
+matrix fallback stays for states where that is not proven. Forming K F(u)
+in floats loses about eps n^2 |F(u)|, so the first step differs from the
+dense one at that level; later steps see smaller residuals and correct it.
+
+F and the second-derivative action never build W either: W = G M_h with
+G[i, j] = G(s_i, s_j) and M_h the tridiagonal mass matrix of the hats, and
+G z takes two running sums (``_weights_times``). So a solve holds O(m)
+memory. The dense W is built once per discretized problem, on the first
+call of ``eval_jacobian`` or ``eval_second_matrix``, which only audits and
+the dense path make.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
+from ._format import float_text
 from .certificate import (
     ConvergenceCertificate,
     ErrorBoundReport,
@@ -139,14 +151,63 @@ def quadrature_weights(grid: np.ndarray) -> np.ndarray:
     """
     grid = np.asarray(grid, dtype=float)
     kernel = green_kernel(grid[:, None], grid[None, :])   # G(s_i, t_k)
-    h6 = np.diff(grid) / 6.0
     # node k takes 2 G_k h/6 from each panel it bounds, plus the far end's
-    # G h/6 from that panel
-    bounded = np.concatenate([h6, [0.0]]) + np.concatenate([[0.0], h6])
-    w = kernel * (2.0 * bounded)
+    # G h/6 from that panel: W is the kernel times the hat mass matrix
+    h6, diag = _hat_mass(grid)
+    w = kernel * diag
     w[:, :-1] += kernel[:, 1:] * h6
     w[:, 1:] += kernel[:, :-1] * h6
     return w
+
+
+def _hat_mass(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The tridiagonal mass matrix of the hat functions on the grid, as its
+    off-diagonal h_k/6 and its diagonal (h_k-1 + h_k)/3."""
+    h6 = np.diff(grid) / 6.0
+    return h6, 2.0 * (np.concatenate([h6, [0.0]]) + np.concatenate([[0.0], h6]))
+
+
+def _prefix_sums(a: np.ndarray) -> np.ndarray:
+    """Running sums of a, each addition's rounding error added back.
+
+    np.cumsum adds in order; TwoSum recovers the exact error of every one
+    of those additions (Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26,
+    2005), and their running sum corrects the result to about twice the
+    working precision, where a plain running sum of m terms can be off by
+    m units in the last place.
+    """
+    total = np.cumsum(a)
+    before, after = total[:-1], total[1:]
+    added = after - before
+    error = (before - (after - added)) + (a[1:] - added)
+    total[1:] += np.cumsum(error)
+    return total
+
+
+def _weights_times(grid: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """v -> W v for W = quadrature_weights(grid), in O(m) without W.
+
+    W = G M_h, where G[i, j] = G(s_i, s_j) and M_h is the tridiagonal mass
+    matrix of the hat functions (G(s_i, .) is itself piecewise linear on the
+    grid). With z = M_h v, (G z)_i = (1 - s_i) sum_{j <= i} s_j z_j
+    + s_i sum_{j > i} (1 - s_j) z_j, two running sums. The boundary rows
+    come out exactly zero.
+    """
+    s = np.asarray(grid, dtype=float)
+    h6, diag = _hat_mass(s)
+    rest = 1.0 - s
+
+    def times(v):
+        v = np.asarray(v, dtype=float)
+        z = diag * v
+        z[:-1] += h6 * v[1:]
+        z[1:] += h6 * v[:-1]
+        below = _prefix_sums(s * z)
+        above = np.zeros_like(z)
+        above[:-1] = _prefix_sums((rest * z)[:0:-1])[::-1]
+        return rest * below + s * above
+
+    return times
 
 
 def integrate_against_kernel(s: float, func: Callable[[float], float],
@@ -169,13 +230,14 @@ def discretize(spec: HammersteinSpec) -> NonlinearProblem:
 
     The Jacobian, the second-derivative action and its matrix form
     F''(u)[., d] = -p (p - 1) lam W diag(u^(p-2) d) fall out of the same
-    weight matrix. The solvers use the tridiagonal form premultiplied by the
-    finite-difference Laplacian K (see the module docstring) instead; the
-    dense callbacks stay for residuals, audits and callers of their own.
-    Uses the max-norm, in which the analytic bounds are stated.
+    weight matrix. F and the action apply W in O(m) without forming it; the
+    two matrix callbacks build the dense W on first use, once. The solvers
+    use the tridiagonal form premultiplied by the finite-difference
+    Laplacian K (see the module docstring) instead; the dense callbacks stay
+    for audits and callers of their own. Uses the max-norm, in which the
+    analytic bounds are stated.
     """
     grid = uniform_grid(spec.nodes)
-    w = quadrature_weights(grid)
     if spec.forcing is None:
         f_vec = np.ones(spec.nodes)
     else:
@@ -184,23 +246,29 @@ def discretize(spec: HammersteinSpec) -> NonlinearProblem:
             raise ValueError("forcing must be positive on the grid")
     lam = spec.lam
     p = spec.power
+    w_times = _weights_times(grid)
+
+    @functools.cache
+    def weights():
+        # the dense W, built on the first matrix request only
+        return quadrature_weights(grid)
 
     def eval_f(u):
         u = np.asarray(u, dtype=float)
-        return u - f_vec - lam * (w @ u ** p)
+        return u - f_vec - lam * w_times(u ** p)
 
     def eval_jacobian(u):
         u = np.asarray(u, dtype=float)
-        return np.eye(spec.nodes) - p * lam * (w * (u ** (p - 1))[None, :])
+        return np.eye(spec.nodes) - p * lam * (weights() * (u ** (p - 1))[None, :])
 
     def eval_second(u, v, z):
         u = np.asarray(u, dtype=float)
-        return -p * (p - 1) * lam * (w @ (u ** (p - 2) * np.asarray(v) * np.asarray(z)))
+        return -p * (p - 1) * lam * w_times(u ** (p - 2) * np.asarray(v) * np.asarray(z))
 
     def eval_second_matrix(u, d):
         # column j is eval_second(u, e_j, d): W scaled by u_j^(p-2) d_j
         u = np.asarray(u, dtype=float)
-        return -p * (p - 1) * lam * (w * (u ** (p - 2) * np.asarray(d))[None, :])
+        return -p * (p - 1) * lam * (weights() * (u ** (p - 2) * np.asarray(d))[None, :])
 
     return NonlinearProblem(
         dim=spec.nodes,
@@ -304,9 +372,7 @@ def table1(lambdas: Sequence[float] = (0.25, 0.5, 0.75, 1.0),
 
 
 def _csv_number(x: float | None) -> str:
-    if x is None:
-        return ""
-    return format(x, ".17g")
+    return "" if x is None else float_text(x)
 
 
 def table1_csv(rows: Sequence[Table1Row]) -> str:

@@ -126,7 +126,12 @@ class CubicMajorant(MajorantFunction):
             raise ValueError(f"lip must be a positive real, got {self.lip}")
 
     def value(self, t: float) -> float:
-        return self.beta - t + 0.5 * self.eta * t * t + self.lip * t ** 3 / 6.0
+        try:
+            cubic = self.lip * t ** 3
+        except OverflowError:
+            # t^3 leaves the float range near t** of a tiny lip, lip t^3 not
+            cubic = self.lip * t * t * t
+        return self.beta - t + 0.5 * self.eta * t * t + cubic / 6.0
 
     def deriv(self, t: float) -> float:
         return -1.0 + self.eta * t + 0.5 * self.lip * t * t
@@ -149,9 +154,17 @@ class CubicMajorant(MajorantFunction):
     def closed_form_roots(self) -> tuple[float, float] | None:
         # Roots of (lip/6) t^3 + (eta/2) t^2 - t + beta. A certified input
         # has two nonnegative real roots straddled by r1 (plus one negative).
-        coeffs = np.array([self.lip / 6.0, 0.5 * self.eta, -1.0, self.beta])
-        roots = np.roots(coeffs)
-        scale = max(1.0, self.slope_root())
+        r1 = self.slope_root()
+        roots = _roots_in_range([self.lip / 6.0, 0.5 * self.eta, -1.0, self.beta])
+        if roots is None:
+            # a tiny lip overflows the companion matrix; in units of r1 the
+            # coefficients are of order one (r1^2 lip/6 is about 1/3)
+            roots = _roots_in_range([self.lip * r1 * r1 / 6.0, 0.5 * self.eta * r1,
+                                     -1.0, self.beta / r1])
+            if roots is None:
+                return None
+            roots = r1 * roots
+        scale = max(1.0, r1)
         real = sorted(float(r.real) for r in roots
                       if abs(r.imag) <= 1e-8 * max(1.0, abs(r)))
         nonneg = [r for r in real if r >= -1e-14 * scale]
@@ -312,6 +325,15 @@ class MajorizingSequence:
 # root finding
 
 
+def _roots_in_range(coeffs: list[float]) -> np.ndarray | None:
+    """np.roots(coeffs), or None when the companion matrix, the trailing
+    coefficients over the leading one, leaves the float range."""
+    lead = coeffs[0]
+    if lead == 0.0 or not math.isfinite(max(map(abs, coeffs[1:])) / lead):
+        return None
+    return np.roots(coeffs)
+
+
 def _newton_polish(h: MajorantFunction, t: float, steps: int = 3) -> float:
     for _ in range(steps):
         slope = h.deriv(t)
@@ -372,12 +394,16 @@ def _locate_minimum(h: MajorantFunction) -> float | None:
     bound = h.domain_bound
     hi = 1.0 if math.isinf(bound) else 0.5 * bound
     found = False
-    for _ in range(200):
+    # doubling reaches every float exponent: the minimum of a cubic with a
+    # tiny lip sits near sqrt(2 / lip), up to about 2^538
+    for _ in range(1100):
         if h.deriv(hi) >= 0.0:
             found = True
             break
         if math.isinf(bound):
             hi *= 2.0
+            if math.isinf(hi):
+                break
         else:
             nxt = hi + 0.5 * (bound - hi)
             if nxt - hi < 1e-15 * bound:

@@ -14,19 +14,27 @@ the operator appearing in Halley's closed form (I - L_F)^{-1}.
 Every step needs the n-by-n matrix B = F''(x)[., d] with d the Newton
 direction. The Halley correction y = (I - L_F)^{-1} d solves the same
 system as (F'(x) - B/2) y = F(x), so it costs one more factorization and no
-matrix L_F. The family and the recorded norm |L_F| still use
-L_F = (1/2) F'(x)^{-1} B, formed by one multi-right-hand-side solve.
+matrix L_F. The family applies S = 2 L_F as y -> F'(x)^{-1} (B y), one
+solve per product, and never forms L_F either.
 
 The step systems are dense by default: B comes whole from the optional
 ``eval_second_matrix(x, d)`` hook or column by column from n calls to
 ``eval_second``, and every factorization is a dense LU. A problem whose
 systems become tridiagonal after premultiplication by a fixed nonsingular
 matrix A can say so through the optional ``tridiagonal`` hook
-(:class:`TridiagonalForm`). The solvers then factor A F'(x) and
+(:class:`TridiagonalForm`). The solvers then factor T = A F'(x) and
 A F'(x) - A B / 2 with LAPACK's tridiagonal gttrf in O(n) and solve against
 A F(x). Halley's method and its family are affine invariant, so the
 iterates are those of the dense systems up to rounding; residuals and stop
 tests always read the original F.
+
+The recorded |L_F|, which the family also uses as its gate, is exact up to
+rounding on every path. In the max norm under a tridiagonal form it costs
+one more solve when a check in O(n) proves T^{-1} >= 0 entrywise and every
+column of S = A B has one sign: then |L_F| is the largest entry of
+T^{-1} (|S| 1) / 2. Otherwise, and on the dense path, it is the norm of the
+matrix L_F = (1/2) T^{-1} S from one n-right-hand-side solve, O(n^2) under
+the form.
 """
 
 from __future__ import annotations
@@ -282,34 +290,95 @@ def _second_matrix(p: NonlinearProblem, x: np.ndarray, d: np.ndarray) -> np.ndar
     return second
 
 
-def _step_pieces(p: NonlinearProblem, x: np.ndarray, fx: np.ndarray,
-                 halley: bool = False):
-    """Shared setup for one step at x with F(x) = fx: the Newton direction d,
-    L_F(x) and, if ``halley`` is set, the Halley correction (else None).
+def _band_matvec(bands: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The product of the tridiagonal matrix in (3, n) storage with y."""
+    out = bands[1] * y
+    out[:-1] += bands[0, 1:] * y[1:]
+    out[1:] += bands[2, :-1] * y[:-1]
+    return out
 
-    The step systems are A F'(x), A B with B = F''(x)[., d] and A F(x),
-    where A is the problem's premultiplier under its tridiagonal form
-    (factored by gttrf) and the identity otherwise (dense LU). One
-    factorization of A F'(x) gives d and L_F = (1/2) (A F'(x))^{-1} (A B);
-    the Halley correction solves (A F'(x) - A B / 2) y = A F(x), the same
-    system as (I - L_F) y = d.
+
+# T x > 0 must hold row by row beyond this multiple of (|T| x): a row of the
+# tridiagonal product rounds three terms, at most about 1.5 eps of |T| x.
+_POSITIVE_ROW_RTOL = 4.0 * np.finfo(float).eps
+
+
+def _one_solve_lf_norm(jac: np.ndarray, second: np.ndarray,
+                       solve: Callable[[np.ndarray], np.ndarray]) -> float | None:
+    """The max-norm of L_F = (1/2) T^{-1} S for T = A F'(x) and S = A B in
+    (3, n) storage, with one solve; None where the shortcut is not proven.
+
+    A Z-matrix T (no positive off-diagonal) with T x > 0 for some x > 0 has
+    T^{-1} >= 0 entrywise (Berman & Plemmons, Nonnegative Matrices in the
+    Mathematical Sciences, 1979). x = T^{-1} 1 is tried, and T x > 0 counts
+    only where each computed row clears its rounding error. If moreover
+    every column of S has one sign, |T^{-1} S| = T^{-1} |S|, so the largest
+    row sum of |T^{-1} S| is the largest entry of T^{-1} (|S| 1).
     """
-    tri = p.tridiagonal
-    if tri is None:
-        jac = np.asarray(p.eval_jacobian(x), dtype=float)
-        rhs = fx
-        factor = _dense_factor
-    else:
-        jac = _shaped(tri.jacobian(x), (3, p.dim), "tridiagonal.jacobian")
-        rhs = np.asarray(tri.apply(fx), dtype=float)
-        factor = _tridiagonal_factor
-    solve = factor(jac)
-    d = solve(rhs)
-    second = _second_matrix(p, x, d)
-    lf = 0.5 * solve(second if tri is None else _tridiagonal_dense(second))
-    if not halley:
-        return d, lf, None
-    return d, lf, factor(jac - 0.5 * second)(rhs)
+    if np.any(jac[0, 1:] > 0.0) or np.any(jac[2, :-1] > 0.0):
+        return None
+    columns = second.copy()
+    columns[0, 0] = columns[2, -1] = 0.0   # the unused corners
+    if not np.all((columns.min(axis=0) >= 0.0) | (columns.max(axis=0) <= 0.0)):
+        return None
+    ones = np.ones(jac.shape[1])
+    x = solve(ones)
+    if not np.all(x > 0.0):
+        return None
+    floor = _POSITIVE_ROW_RTOL * _band_matvec(np.abs(jac), x) + np.finfo(float).tiny
+    if not np.all(_band_matvec(jac, x) > floor):
+        return None
+    return 0.5 * float(np.max(solve(_band_matvec(np.abs(second), ones))))
+
+
+class _Step:
+    """The step systems at x with F(x) = fx: A F'(x), factored, the Newton
+    direction d, A B with B = F''(x)[., d], and A F(x).
+
+    A is the problem's premultiplier under its tridiagonal form, with both
+    matrices in (3, n) storage and gttrf factorizations, and the identity
+    otherwise (dense LU). L_F = (1/2) (A F'(x))^{-1} (A B) is formed only
+    by ``lf`` and by the fallback of ``lf_norm``.
+    """
+
+    def __init__(self, p: NonlinearProblem, x: np.ndarray, fx: np.ndarray):
+        tri = p.tridiagonal
+        self.banded = tri is not None
+        if tri is None:
+            self.jac = np.asarray(p.eval_jacobian(x), dtype=float)
+            self.rhs = fx
+            self.factor = _dense_factor
+        else:
+            self.jac = _shaped(tri.jacobian(x), (3, p.dim), "tridiagonal.jacobian")
+            self.rhs = np.asarray(tri.apply(fx), dtype=float)
+            self.factor = _tridiagonal_factor
+        self.solve = self.factor(self.jac)
+        self.d = self.solve(self.rhs)
+        self.second = _second_matrix(p, x, self.d)
+
+    def series(self, y: np.ndarray) -> np.ndarray:
+        """S y = 2 L_F y = (A F'(x))^{-1} (A B y), with no matrix L_F."""
+        by = _band_matvec(self.second, y) if self.banded else self.second @ y
+        return self.solve(by)
+
+    def lf(self) -> np.ndarray:
+        """The n-by-n matrix L_F, by one n-right-hand-side solve."""
+        return 0.5 * self.solve(_tridiagonal_dense(self.second) if self.banded
+                                else self.second)
+
+    def lf_norm(self, p: NonlinearProblem) -> float:
+        """|L_F| in the problem's norm: one more solve where
+        _one_solve_lf_norm proves it, else from the matrix."""
+        if self.banded and p.norm_kind == "max":
+            norm = _one_solve_lf_norm(self.jac, self.second, self.solve)
+            if norm is not None:
+                return norm
+        return p.matrix_norm(self.lf())
+
+    def halley(self) -> np.ndarray:
+        """The Halley correction: (A F'(x) - A B / 2) y = A F(x), the same
+        system as (I - L_F) y = d, by one more factorization."""
+        return self.factor(self.jac - 0.5 * self.second)(self.rhs)
 
 
 def _correction(p: NonlinearProblem, x: np.ndarray, fx: np.ndarray,
@@ -320,15 +389,16 @@ def _correction(p: NonlinearProblem, x: np.ndarray, fx: np.ndarray,
     The family needs the series operator norm, twice |L_F|, to be at most
     1/2 and raises LFNormExceededError otherwise; Halley only records it.
     """
-    d, lf, halley = _step_pieces(p, x, fx, halley=coeffs is None)
-    lf_norm = p.matrix_norm(lf)
+    step = _Step(p, x, fx)
     if coeffs is None:
-        return halley, lf_norm
+        correction = step.halley()
+        return correction, step.lf_norm(p)
+    lf_norm = step.lf_norm(p)
     if 2.0 * lf_norm > 0.5:
         raise LFNormExceededError(
             f"the series operator norm {2.0 * lf_norm:.6g} exceeds 1/2; "
             f"the family step is invalid here")
-    return _apply_family(lf, d, coeffs), lf_norm
+    return _apply_family(step.series, step.d, coeffs), lf_norm
 
 
 def _eval_f(p: NonlinearProblem, x: np.ndarray) -> np.ndarray:
@@ -341,7 +411,7 @@ def lf_matrix(p: NonlinearProblem, x: np.ndarray) -> np.ndarray:
     Column j is (1/2) F'(x)^{-1} F''(x)[e_j, d] with d the Newton direction.
     """
     x = np.asarray(x, dtype=float)
-    return _step_pieces(p, x, _eval_f(p, x))[1]
+    return _Step(p, x, _eval_f(p, x)).lf()
 
 
 def halley_step(p: NonlinearProblem, x: np.ndarray) -> np.ndarray:
@@ -366,17 +436,16 @@ def _validate_family(coeffs: Sequence[float]) -> tuple[float, ...]:
     return coeffs
 
 
-def _apply_family(lf: np.ndarray, d: np.ndarray,
+def _apply_family(series: Callable[[np.ndarray], np.ndarray], d: np.ndarray,
                   coeffs: tuple[float, ...]) -> np.ndarray:
-    # Horner evaluation of (sum_k a_k S^k) d using matrix-vector products
-    # only; no explicit matrix powers. The series variable S is twice the
-    # Halley correction operator: the coefficient normalization a_1 = 1/2 is
-    # tied to S, which carries no 1/2 of its own, so that a_k = (1/2)^k sums
-    # to (I - S/2)^{-1} = (I - L_F)^{-1}, the exact Halley correction.
-    s = 2.0 * lf
+    # Horner evaluation of (sum_k a_k S^k) d using products y -> S y only;
+    # no matrix S. The series variable S is twice the Halley correction
+    # operator: the coefficient normalization a_1 = 1/2 is tied to S, which
+    # carries no 1/2 of its own, so that a_k = (1/2)^k sums to
+    # (I - S/2)^{-1} = (I - L_F)^{-1}, the exact Halley correction.
     y = coeffs[-1] * d
     for a_k in reversed(coeffs[:-1]):
-        y = s @ y + a_k * d
+        y = series(y) + a_k * d
     return y
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from halley_cert import (
     HalleyCertError,
     HammersteinSpec,
+    KantorovichInputs,
     LAMBDA_CRITERION_LIMIT,
     LAMBDA_DOMAIN_LIMIT,
     analytic_bounds,
@@ -22,6 +24,7 @@ from halley_cert import (
     halley_solve,
     halley_step,
     integrate_against_kernel,
+    kantorovich_certificate,
     lf_matrix,
     quadrature_weights,
     solve_and_check,
@@ -29,7 +32,7 @@ from halley_cert import (
     table1_csv,
     uniform_grid,
 )
-from halley_cert import hammerstein
+from halley_cert import hammerstein, problem
 from halley_cert.majorant import CubicMajorant
 from helpers import band_matrix
 
@@ -214,11 +217,11 @@ def _dense_discretize(spec):
 
 
 def _report_or_error(spec, coeffs):
-    # the certificate for |lam| below about 1e-110 raises; parity then means
-    # the same failure on both paths
+    # where a run raises a typed error, parity means the same failure on
+    # both paths
     try:
         return solve_and_check(spec, coeffs=coeffs), None
-    except (HalleyCertError, ArithmeticError, np.linalg.LinAlgError) as exc:
+    except HalleyCertError as exc:
         return None, exc
 
 
@@ -249,6 +252,90 @@ def test_tridiagonal_solves_match_dense_solves(n, lam, power, bump, method):
     assert max(diffs) <= 1e-11
     assert np.max(np.abs(np.subtract(tri.trace.lf_norms, dense.trace.lf_norms)),
                   initial=0.0) <= 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(8, 300), lam=st.floats(-1.0, 1.15), power=st.integers(2, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_one_solve_lf_norm_matches_the_matrix_norm(n, lam, power, seed):
+    p = discretize(HammersteinSpec(lam=lam, power=power, nodes=n))
+    u = np.random.default_rng(seed).uniform(0.5, 1.2, n)
+    step = problem._Step(p, u, p.eval_f(u))
+    one = problem._one_solve_lf_norm(step.jac, step.second, step.solve)
+    # K F'(u) is an M-matrix and every column of K B has one sign, so the
+    # one-solve branch is proven on every such state
+    assert one is not None
+    dense = p.matrix_norm(step.lf())
+    assert abs(one - dense) <= 1e-12 * dense + np.finfo(float).tiny
+
+
+def test_matrix_free_products_match_the_dense_weights():
+    rng = np.random.default_rng(31)
+    for m in (8, 33, 512, 1000):
+        w = quadrature_weights(uniform_grid(m))
+        p = discretize(HammersteinSpec(lam=1.0, power=2, nodes=m))
+        for u in (rng.uniform(0.5, 1.5, m), rng.standard_normal(m)):
+            scale = np.max(np.abs(w) @ np.abs(u * u))
+            dense_f = u - 1.0 - w @ (u * u)
+            assert np.max(np.abs(p.eval_f(u) - dense_f)) <= 1e-15 * max(scale, np.max(np.abs(u)))
+            v = rng.standard_normal(m)
+            assert np.max(np.abs(p.eval_second(u, v, u) + 2.0 * (w @ (v * u)))) <= (
+                1e-15 * 2.0 * np.max(np.abs(w) @ np.abs(v * u)))
+
+
+def _counting_weights():
+    calls = []
+
+    def weights(grid):
+        calls.append(len(grid))
+        return quadrature_weights(grid)
+
+    return calls, mock.patch.object(hammerstein, "quadrature_weights", weights)
+
+
+def test_dense_weights_are_built_once_and_only_for_matrices():
+    calls, patch = _counting_weights()
+    with patch:
+        p = discretize(HammersteinSpec(lam=1.0, nodes=16))
+        u = np.ones(16)
+        p.eval_f(u)
+        p.eval_second(u, u, u)
+        halley_solve(p, u)
+        assert calls == []
+        p.eval_jacobian(u)
+        p.eval_second_matrix(u, u)
+        check_initial_conditions(p, u, CubicMajorant(0.2, 1.2, 1.2))
+    assert calls == [16]
+
+
+def test_large_solves_hold_no_dense_matrix():
+    calls, patch = _counting_weights()
+    with patch:
+        tracemalloc.start()
+        try:
+            report = solve_and_check(HammersteinSpec(lam=1.0, nodes=100_000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert calls == []
+    # one dense 10^5 x 10^5 array alone would be 80 GB
+    assert peak < 64 * 2 ** 20
+    assert report.trace.converged and report.containment_ok
+    assert report.error_bounds.all_ok
+
+
+@pytest.mark.parametrize("lam", [1e-120, 1e-160, 4.04e-254, 1e-310])
+def test_tiny_couplings_certify(lam):
+    beta, eta, lip = analytic_bounds(lam)
+    cert = kantorovich_certificate(KantorovichInputs(beta, eta, lip))
+    assert cert.certified
+    # h(t) = beta - t + eta t^2/2 + lip t^3/6 is beta - t near t* and
+    # lip t^3/6 - t near t**
+    assert cert.t_star == pytest.approx(beta, rel=1e-12)
+    assert cert.uniqueness_radius == pytest.approx(math.sqrt(6.0) / math.sqrt(lip), rel=1e-12)
+    report = solve_and_check(HammersteinSpec(lam=lam, nodes=16))
+    assert report.trace.converged and report.containment_ok
+    assert report.error_bounds.all_ok
 
 
 def test_analytic_bounds_values():

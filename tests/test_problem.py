@@ -22,6 +22,7 @@ from halley_cert import (
     lf_matrix,
     second_derivative_from_tensor,
 )
+from halley_cert import problem
 from helpers import (
     band_matrix,
     linear_problem,
@@ -154,6 +155,81 @@ def test_tridiagonal_form_shape_and_size_are_checked():
         halley_step(wrong, np.zeros(4))
     with pytest.raises(ValueError, match="dim >= 3"):
         dataclasses.replace(scalar_sqrt2(), tridiagonal=p.tridiagonal)
+
+
+def _tridiagonal_quadratic(t_bands: np.ndarray, q_bands: np.ndarray) -> NonlinearProblem:
+    """F(x) = T x + (1/2) Q (x * x) - 1 for tridiagonal T and Q in (3, n)
+    storage, with A = I: F'(x) = T + Q diag(x) and F''(x)[., d] = Q diag(d)."""
+    n = t_bands.shape[1]
+    t, q = band_matrix(t_bands), band_matrix(q_bands)
+    form = TridiagonalForm(jacobian=lambda x: t_bands + q_bands * x,
+                           second_matrix=lambda x, d: q_bands * d,
+                           apply=lambda v: np.array(v, dtype=float))
+    return NonlinearProblem(
+        dim=n,
+        eval_f=lambda x: t @ x + 0.5 * q @ (x * x) - 1.0,
+        eval_jacobian=lambda x: t + q * x,
+        eval_second=lambda x, u, v: q @ (u * v),
+        tridiagonal=form)
+
+
+def _lf_norm_paths(p: NonlinearProblem, x: np.ndarray):
+    """(one-solve |L_F|, or None where it is not proven; |L_F| of the
+    n-by-n matrix; |L_F| the solver records) at x."""
+    step = problem._Step(p, x, p.eval_f(x))
+    return (problem._one_solve_lf_norm(step.jac, step.second, step.solve),
+            p.matrix_norm(lf_matrix(p, x)), step.lf_norm(p))
+
+
+def _z_matrix_bands(n: int) -> np.ndarray:
+    bands = np.zeros((3, n))
+    bands[1] = 4.0
+    bands[0, 1:] = bands[2, :-1] = -1.0
+    return bands
+
+
+def test_one_solve_lf_norm_is_exact_on_m_matrices():
+    rng = np.random.default_rng(71)
+    q = rng.uniform(0.1, 0.3, (3, 12))
+    p = _tridiagonal_quadratic(_z_matrix_bands(12), q)
+    for _ in range(5):
+        x = rng.uniform(0.0, 0.3, 12)
+        one, dense, recorded = _lf_norm_paths(p, x)
+        assert one is not None and recorded == one
+        assert abs(one - dense) <= 1e-14 * dense
+
+
+def test_lf_norm_falls_back_to_the_matrix_when_not_proven():
+    rng = np.random.default_rng(73)
+    x = rng.uniform(0.0, 0.3, 12)
+    # a positive off-diagonal: T is no Z-matrix
+    t = _z_matrix_bands(12)
+    t[0, 5] = 0.5
+    positive = _tridiagonal_quadratic(t, rng.uniform(0.1, 0.3, (3, 12)))
+    # a column of Q, so of S = Q diag(d), with both signs
+    q = rng.uniform(0.1, 0.3, (3, 12))
+    q[2, 6] = -0.2
+    mixed = _tridiagonal_quadratic(_z_matrix_bands(12), q)
+    for p in (positive, mixed):
+        one, dense, recorded = _lf_norm_paths(p, x)
+        assert one is None and recorded == dense
+        # and the solver records the norms the dense systems give
+        tri = halley_solve(p, x)
+        plain = halley_solve(dataclasses.replace(p, tridiagonal=None), x)
+        assert tri.converged and len(tri.lf_norms) == len(plain.lf_norms)
+        assert np.max(np.abs(np.subtract(tri.lf_norms, plain.lf_norms))) <= (
+            1e-14 * max(plain.lf_norms))
+
+
+def test_series_products_need_no_lf_matrix():
+    rng = np.random.default_rng(79)
+    p = _tridiagonal_quadratic(_z_matrix_bands(12), rng.uniform(-0.3, 0.3, (3, 12)))
+    x = rng.uniform(0.0, 0.3, 12)
+    for q in (p, dataclasses.replace(p, tridiagonal=None)):
+        step = problem._Step(q, x, q.eval_f(x))
+        s = 2.0 * lf_matrix(q, x)
+        for y in rng.standard_normal((4, 12)):
+            assert np.max(np.abs(step.series(y) - s @ y)) <= 1e-14 * np.max(np.abs(s) @ np.abs(y))
 
 
 def test_family_coefficient_validation():
