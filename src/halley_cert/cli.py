@@ -16,6 +16,7 @@ significant digits in human mode and 17 in json and csv modes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -339,10 +340,13 @@ def cmd_solve(args) -> int:
     return 0 if report.trace.converged else 4
 
 
+# parse_args leaves the parser unchanged, so one parser serves every call
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
         if args.command == "certificate":
             return cmd_certificate(args)
         if args.command == "table1":

@@ -45,6 +45,7 @@ __all__ = [
 
 _ROOT_RESIDUAL_SCALE = 1e-14
 _SLOPE_FLOOR = 1e-12
+_EPS = float(np.finfo(float).eps)
 
 # alpha = beta * gamma must stay below this for the rational majorant to
 # have two positive zeros.
@@ -103,6 +104,11 @@ class MajorantFunction:
         """Closed-form Q-cubic rate constant when available, else None."""
         return None
 
+    def closed_form_a2(self) -> bool | None:
+        """Whether A2 holds, when the type's validated parameters decide it,
+        else None, and ``check_assumptions`` samples h'' on a grid."""
+        return None
+
 
 @dataclass(frozen=True)
 class CubicMajorant(MajorantFunction):
@@ -142,20 +148,53 @@ class CubicMajorant(MajorantFunction):
     def third_deriv(self, t: float) -> float:
         return self.lip
 
+    def closed_form_a2(self) -> bool:
+        """h'' = eta + lip t is affine, so convex, and lip > 0 makes it
+        strictly increasing."""
+        return True
+
     def criterion_bound(self) -> float:
         """Largest beta still compatible with a certified iteration."""
-        s = math.sqrt(self.eta ** 2 + 2.0 * self.lip)
-        return 2.0 * (self.eta + 2.0 * s) / (3.0 * (self.eta + s) ** 2)
+        try:
+            s = math.sqrt(self.eta ** 2 + 2.0 * self.lip)
+            bound = 2.0 * (self.eta + 2.0 * s) / (3.0 * (self.eta + s) ** 2)
+        except OverflowError:
+            bound = 0.0
+        if 0.0 < bound < math.inf:
+            return bound
+        # a square left the float range (0 or nan above): 2 (eta + 2s) /
+        # (3 u^2) with u = eta + s equals (1 + s/u) / (3u) in halves of s, u
+        half_s, half_u = self._halved_slope_terms()
+        return (1.0 + half_s / half_u) / half_u / 3.0
 
     def slope_root(self) -> float:
         """The unique positive zero r1 of h', which separates t* from t**."""
-        return 2.0 / (self.eta + math.sqrt(self.eta ** 2 + 2.0 * self.lip))
+        try:
+            r1 = 2.0 / (self.eta + math.sqrt(self.eta ** 2 + 2.0 * self.lip))
+        except OverflowError:
+            r1 = 0.0
+        return r1 if r1 > 0.0 else 1.0 / self._halved_slope_terms()[1]
+
+    def _halved_slope_terms(self) -> tuple[float, float]:
+        """s/2 and (eta + s)/2 for s = sqrt(eta^2 + 2 lip), free of squares,
+        so finite for every valid eta and lip."""
+        half_s = math.hypot(0.5 * self.eta, math.sqrt(0.5 * self.lip))
+        return half_s, 0.5 * self.eta + half_s
 
     def closed_form_roots(self) -> tuple[float, float] | None:
         # Roots of (lip/6) t^3 + (eta/2) t^2 - t + beta. A certified input
         # has two nonnegative real roots straddled by r1 (plus one negative).
         r1 = self.slope_root()
-        roots = _roots_in_range([self.lip / 6.0, 0.5 * self.eta, -1.0, self.beta])
+        if 8.0 * self.lip * r1 < _EPS * self.eta:
+            # on [0, 2 r1] the cubic term is below eps/12 of the quadratic
+            # one: take the roots of the quadratic limit beta - t + eta t^2/2
+            disc = 1.0 - 2.0 * self.beta * self.eta
+            if disc < -4.0 * _EPS:
+                return None
+            q = 1.0 + math.sqrt(max(disc, 0.0))
+            roots = [2.0 * self.beta / q, q / self.eta]
+        else:
+            roots = _roots_in_range([self.lip / 6.0, 0.5 * self.eta, -1.0, self.beta])
         if roots is None:
             # a tiny lip overflows the companion matrix; in units of r1 the
             # coefficients are of order one (r1^2 lip/6 is about 1/3)
@@ -182,8 +221,16 @@ class CubicMajorant(MajorantFunction):
         if denom <= _SLOPE_FLOOR:
             raise DegenerateRootError(
                 f"slope at t*={ts} is {-denom}, too close to zero for a rate constant")
-        num = 3.0 * (self.eta + self.lip * ts) ** 2 + 2.0 * self.lip * denom
-        return num / (9.0 * denom * denom)
+        try:
+            num = 3.0 * (self.eta + self.lip * ts) ** 2 + 2.0 * self.lip * denom
+        except OverflowError:
+            num = math.inf
+        if num < math.inf:
+            return num / (9.0 * denom * denom)
+        # the same without the square: inf only where the constant itself
+        # exceeds the float range
+        a = (self.eta + self.lip * ts) / (math.sqrt(3.0) * denom)
+        return a * a + 2.0 * self.lip / (9.0 * denom)
 
 
 @dataclass(frozen=True)
@@ -222,6 +269,12 @@ class SmaleMajorant(MajorantFunction):
 
     def third_deriv(self, t: float) -> float:
         return 6.0 * self.gamma ** 2 / (1.0 - self.gamma * t) ** 4
+
+    def closed_form_a2(self) -> bool:
+        """h'' = 2 gamma / (1 - gamma t)^3 with gamma > 0 is a positive
+        power of 1 / (1 - gamma t), which is convex and increasing on
+        [0, 1/gamma), so h'' is convex and strictly increasing."""
+        return True
 
     def criterion_bound(self) -> float:
         """Criterion threshold for alpha = beta * gamma."""
@@ -545,20 +598,61 @@ def halley_map(h: MajorantFunction, t: float) -> float:
 
     Strictly increases toward t* and never overshoots it in exact arithmetic.
     """
-    t_star = smallest_root(h)
+    return _halley_step(h, t, smallest_root(h))
+
+
+def _halley_step(h: MajorantFunction, t: float, t_star: float) -> float:
+    """``halley_map`` with t* already looked up."""
     if not (0.0 <= t < t_star):
         raise ValueError(f"t = {t} is outside [0, t*) with t* = {t_star}")
     ratio = halley_ratio(h, t)
     return t - h.value(t) / ((1.0 - ratio) * h.deriv(t))
 
 
-def check_assumptions(h: MajorantFunction, grid_size: int = 64) -> AssumptionReport:
-    """Check A1 exactly at 0, A2 on a grid, A3 via root finding.
+def _sampled_a2(h: MajorantFunction, t_star: float | None, grid_size: int,
+                notes: list[str]) -> bool:
+    """A2 by monotonicity and midpoint convexity of h'' on a uniform grid."""
+    t_min = _locate_minimum(h)
+    if t_min is not None:
+        extent = 2.0 * t_min
+    elif t_star is not None and t_star > 0.0:
+        extent = 2.0 * t_star
+    else:
+        extent = 1.0
+    bound = h.domain_bound
+    if math.isfinite(bound):
+        extent = min(extent, bound * (1.0 - 1e-9))
 
-    A2 is tested by monotonicity and midpoint convexity of h'' on a uniform
-    grid over [0, min(R, T)] where T is twice the minimum of h (or twice t*
-    when the minimum is out of reach). The criterion boundary, where
-    h'(t*) = 0, is reported as a failure of A3.
+    ok = True
+    try:
+        grid = np.linspace(0.0, extent, grid_size)
+        vals = np.array([h.second_deriv(float(t)) for t in grid])
+        scale = max(1.0, float(np.max(np.abs(vals))))
+        diffs = np.diff(vals)
+        if not (np.all(diffs > -1e-12 * scale) and vals[-1] > vals[0]):
+            ok = False
+            notes.append("h'' is not strictly increasing on the sample grid")
+        mid_excess = vals[1:-1] - 0.5 * (vals[:-2] + vals[2:])
+        if not np.all(mid_excess <= 1e-12 * scale):
+            ok = False
+            notes.append("h'' fails midpoint convexity on the sample grid")
+    except Exception as exc:  # diagnostic, not a crash
+        ok = False
+        notes.append(f"h'' evaluation failed on [0, {extent:.6g}]: {exc}")
+    return ok
+
+
+def check_assumptions(h: MajorantFunction, grid_size: int = 64) -> AssumptionReport:
+    """Check A1 exactly at 0, A2 in closed form or on a grid, A3 via root
+    finding.
+
+    A2 is the answer of ``h.closed_form_a2()`` when the type has one, as
+    ``CubicMajorant`` and ``SmaleMajorant`` do: their validated parameters
+    prove it. Otherwise it is tested by monotonicity and midpoint convexity
+    of h'' on a uniform grid of ``grid_size`` points over [0, min(R, T)],
+    where T is twice the minimum of h (or twice t* when the minimum is out
+    of reach). The criterion boundary, where h'(t*) = 0, is reported as a
+    failure of A3.
     """
     if grid_size < 16:
         raise ValueError(f"grid_size must be at least 16, got {grid_size}")
@@ -604,33 +698,11 @@ def check_assumptions(h: MajorantFunction, grid_size: int = 64) -> AssumptionRep
         notes.append(f"h'(t*) = {slope:.6g} is not strictly negative "
                      "(criterion boundary)")
 
-    t_min = _locate_minimum(h)
-    if t_min is not None:
-        extent = 2.0 * t_min
-    elif t_star is not None and t_star > 0.0:
-        extent = 2.0 * t_star
-    else:
-        extent = 1.0
-    bound = h.domain_bound
-    if math.isfinite(bound):
-        extent = min(extent, bound * (1.0 - 1e-9))
-
-    a2 = True
-    try:
-        grid = np.linspace(0.0, extent, grid_size)
-        vals = np.array([h.second_deriv(float(t)) for t in grid])
-        scale = max(1.0, float(np.max(np.abs(vals))))
-        diffs = np.diff(vals)
-        if not (np.all(diffs > -1e-12 * scale) and vals[-1] > vals[0]):
-            a2 = False
-            notes.append("h'' is not strictly increasing on the sample grid")
-        mid_excess = vals[1:-1] - 0.5 * (vals[:-2] + vals[2:])
-        if not np.all(mid_excess <= 1e-12 * scale):
-            a2 = False
-            notes.append("h'' fails midpoint convexity on the sample grid")
-    except Exception as exc:  # diagnostic, not a crash
-        a2 = False
-        notes.append(f"h'' evaluation failed on [0, {extent:.6g}]: {exc}")
+    a2 = h.closed_form_a2()
+    if a2 is None:
+        a2 = _sampled_a2(h, t_star, grid_size, notes)
+    elif not a2:
+        notes.append("h'' is not convex and strictly increasing")
 
     return AssumptionReport(
         a1_holds=a1,
@@ -669,7 +741,7 @@ def majorizing_sequence(h: MajorantFunction, max_iters: int = 25,
             break
         if stagnated or len(points) > max_iters:
             break
-        nxt = halley_map(h, points[-1])
+        nxt = _halley_step(h, points[-1], t_star)
         if nxt >= t_star:
             # rounding pushed past the root; settle on the largest float below
             nxt = float(np.nextafter(t_star, 0.0))

@@ -2,11 +2,13 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from halley_cert import (
+    AssumptionError,
     ConvergenceCertificate,
     KantorovichInputs,
     SMALE_CRITERION_BOUND,
@@ -98,6 +100,40 @@ def test_zero_beta_is_trivially_certified():
     assert cert.sequence.converged_at == 0
     assert cert.uniqueness_radius > 0.0
     assert cert.rate_constant == pytest.approx(0.7466666666666666, rel=1e-12)
+
+
+def test_zero_eta_fails_a1():
+    # the criterion holds, but h''(0) = eta = 0 breaks A1
+    with pytest.raises(AssumptionError, match="A1"):
+        kantorovich_certificate(KantorovichInputs(0.1, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("beta, eta, lip", [
+    (4e-6, 1e5, 1e-8),  # the A2 grid rounded eta + lip 2 r1 to eta
+    (1e-11, 1e10, 1e-10),
+    (1e-160, 2e154, 1.0),  # eta^2 overflowed in criterion_bound
+    (2.51e-277, 3.47e153, 1.39e-162),  # both companion scalings left the floats
+])
+def test_large_eta_small_lip_certify(beta, eta, lip):
+    cert = kantorovich_certificate(KantorovichInputs(beta, eta, lip))
+    assert cert.certified
+    assert 0.0 < cert.t_star < cert.uniqueness_radius
+    assert math.isfinite(cert.rate_constant)
+
+    def h(t):
+        """h(t) in exact rationals and one unit of roundoff of its terms."""
+        b, e, c, t = map(Fraction, (beta, eta, lip, t))
+        terms = (b, -t, e * t * t / 2, c * t ** 3 / 6)
+        return sum(terms), sum(map(abs, terms)) * Fraction(2.0 ** -53)
+
+    # Each radius sits at most 1e-12 relative below its zero of h. The
+    # library decides the side with float h, which can miss the exact
+    # sign by rounding of h's terms (0.09 units at t** of eta = 2e154).
+    t_star, t_out = cert.t_star, cert.uniqueness_radius
+    (at_star, unit), (past_star, _) = h(t_star), h(t_star * (1.0 + 1e-12))
+    assert at_star >= -unit and past_star < 0
+    (at_out, unit), (past_out, _) = h(t_out), h(t_out * (1.0 + 1e-12))
+    assert at_out <= unit and past_out > 0
 
 
 def test_smale_frozen_values():

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from halley_cert import ConvergenceCertificate, SolveTrace
+from halley_cert import ConvergenceCertificate, SolveTrace, cli
 from halley_cert.cli import main
 
 TABLE_ARGS = ["certificate", "kantorovich",
@@ -76,6 +76,18 @@ def test_usage_errors_exit_one(capsys):
                                     "-1", "--eta", "1", "--lip", "1"])
     assert rc3 == 1
     assert "beta" in err3
+
+
+def test_one_parser_serves_every_call(capsys):
+    family = ["solve", "hammerstein", "--lambda", "0.5", "--nodes", "8",
+              "--method", "family", "--coeffs", "1,0.5", "--format", "csv"]
+    rc, _, _ = run_cli(capsys, family)
+    assert rc == 0
+    # a call after one with --coeffs still sees no coefficients
+    rc, _, err = run_cli(capsys, family[:-4] + ["--format", "csv"])
+    assert rc == 1
+    assert err == "error: --method family requires --coeffs\n"
+    assert cli._shared_parser() is cli._shared_parser()
 
 
 def test_table1_csv_default_grid(capsys):

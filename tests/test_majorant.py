@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from halley_cert import (
     AssumptionError,
@@ -21,7 +24,8 @@ from halley_cert import (
     smallest_root,
     uniqueness_radius,
 )
-from halley_cert.majorant import _nudge_down
+from halley_cert import majorant
+from halley_cert.majorant import _cached_roots, _nudge_down
 from helpers import SMALE_BOUND, oracle_roots, random_certified_cubic, random_certified_smale
 
 TABLE_CUBIC = CubicMajorant(0.2, 1.2, 1.2)
@@ -268,6 +272,79 @@ def test_check_assumptions_grid_validation():
         check_assumptions(TABLE_CUBIC, grid_size=8)
 
 
+def test_check_assumptions_eta_zero_fails_a1():
+    rep = check_assumptions(CubicMajorant(0.1, 0.0, 1.0))
+    assert not rep.a1_holds
+    assert rep.a2_holds and rep.a3_holds
+    assert rep.diagnostics == ("h''(0) = 0 is not positive",)
+
+
+def test_grid_rejects_a_decreasing_second_derivative():
+    h = CallableMajorant(
+        value_fn=lambda t: 0.2 - t + 0.5 * t * t,
+        deriv_fn=lambda t: -1.0 + t,
+        second_deriv_fn=lambda t: 1.0 / (1.0 + t),
+    )
+    rep = check_assumptions(h)
+    assert rep.a1_holds and rep.a3_holds
+    assert not rep.a2_holds
+    assert rep.diagnostics == ("h'' is not strictly increasing on the sample grid",)
+
+
+@st.composite
+def certified_majorants(draw):
+    """Cubic and Smale majorants strictly inside their criteria. The cubic
+    draws reach lip / eta^2 down to 1e-28, well into the grid's rounding
+    corner."""
+    share = draw(st.floats(1e-3, 0.999))
+    if draw(st.booleans()):
+        eta = 10.0 ** draw(st.floats(-3.0, 8.0))
+        lip = 10.0 ** draw(st.floats(-12.0, 3.0))
+        bound = CubicMajorant(0.0, eta, lip).criterion_bound()
+        return CubicMajorant(share * bound, eta, lip)
+    gamma = 10.0 ** draw(st.floats(-8.0, 8.0))
+    return SmaleMajorant(share * SMALE_BOUND / gamma, gamma)
+
+
+@settings(max_examples=200, deadline=None)
+@given(h=certified_majorants())
+def test_closed_form_a2_agrees_with_the_grid(h):
+    fast = check_assumptions(h)
+    grid = check_assumptions(CallableMajorant(
+        value_fn=h.value, deriv_fn=h.deriv, second_deriv_fn=h.second_deriv,
+        bound=h.domain_bound))
+    assert h.closed_form_a2() is True
+    assert fast.all_hold
+    assert (grid.a1_holds, grid.a3_holds) == (fast.a1_holds, fast.a3_holds)
+    # t* of the callable majorant is bracketed, not taken from the closed
+    # form, so the two agree to root-finding precision
+    assert grid.t_star == pytest.approx(fast.t_star, rel=1e-12)
+    if grid.a2_holds:
+        assert grid.diagnostics == fast.diagnostics
+    else:
+        # the grid's last h'' value, eta + lip 2 r1, rounds to eta
+        assert isinstance(h, CubicMajorant)
+        assert h.lip * 2.0 * h.slope_root() < math.ulp(h.eta)
+        assert grid.diagnostics == ("h'' is not strictly increasing on the sample grid",)
+
+
+def test_closed_form_a2_skips_the_minimum_search_and_the_grid(monkeypatch):
+    def no_search(h):
+        raise AssertionError("_locate_minimum ran")
+
+    monkeypatch.setattr(majorant, "_locate_minimum", no_search)
+    for h in (TABLE_CUBIC, TABLE_SMALE, CubicMajorant(4e-6, 1e5, 1e-8)):
+        points = []
+
+        class Recording(type(h)):
+            def second_deriv(self, t):
+                points.append(t)
+                return super().second_deriv(t)
+
+        assert check_assumptions(Recording(*dataclasses.astuple(h))).all_hold
+        assert points == [0.0]
+
+
 def test_majorizing_sequence_frozen_table_run():
     seq = majorizing_sequence(TABLE_CUBIC, max_iters=10, tol=1e-12)
     assert seq.points[0] == 0.0
@@ -289,6 +366,19 @@ def test_majorizing_sequence_tiny_beta():
 def test_majorizing_sequence_rejects_uncertified():
     with pytest.raises(AssumptionError):
         majorizing_sequence(CubicMajorant(0.4, 1.2, 1.2), max_iters=10, tol=1e-12)
+
+
+def test_majorizing_sequence_looks_up_t_star_once():
+    h = CubicMajorant(0.3, 1.2, 1.2)
+    smallest_root(h)
+    hits = _cached_roots.cache_info().hits
+    seq = majorizing_sequence(h, max_iters=20, tol=1e-15)
+    assert len(seq.points) > 3
+    # one lookup in check_assumptions, one for the whole sequence
+    assert _cached_roots.cache_info().hits - hits == 2
+    below_root = math.nextafter(seq.t_star, 0.0)
+    for t, nxt in zip(seq.points, seq.points[1:]):
+        assert nxt == min(halley_map(h, t), below_root)
 
 
 def test_cubic_error_constant_frozen_values():
