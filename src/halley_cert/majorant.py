@@ -12,13 +12,22 @@ The structural assumptions used throughout:
   A2: h'' is convex and strictly increasing on [0, R).
   A3: h has a zero in (0, R); at the smallest one, t*, the slope h'(t*) is
       strictly negative.
+
+The cubic majorant is solved in scale-free form: its slope h' has one
+positive zero r1, and t = r1 tau gives h(t) = r1 g(tau) with g(tau) = b -
+tau + a tau^2 + c tau^3, b = beta/r1, a = eta r1/2 and c = lip r1^2/6, where
+h'(r1) = 0 reads 2a + 3c = 1. The coefficients are of order one for every
+valid input. g is convex on tau >= 0 with its minimum at 1, so the zeros
+exist iff g(1) <= 0, and Newton's method cannot overshoot them: it rises
+monotonically from g(0) = b >= 0 to tau*, and falls from tau = 4, where
+g(4) = b + 4 + 40c > 0, to tau**.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -43,9 +52,10 @@ __all__ = [
     "SMALE_CRITERION_BOUND",
 ]
 
-_ROOT_RESIDUAL_SCALE = 1e-14
 _SLOPE_FLOOR = 1e-12
-_EPS = float(np.finfo(float).eps)
+_EPS = math.ulp(1.0)
+# g(1) within this of 0 is the criterion boundary, where the zeros merge
+_MERGE_TOL = 16.0 * _EPS
 
 # alpha = beta * gamma must stay below this for the rational majorant to
 # have two positive zeros.
@@ -132,12 +142,8 @@ class CubicMajorant(MajorantFunction):
             raise ValueError(f"lip must be a positive real, got {self.lip}")
 
     def value(self, t: float) -> float:
-        try:
-            cubic = self.lip * t ** 3
-        except OverflowError:
-            # t^3 leaves the float range near t** of a tiny lip, lip t^3 not
-            cubic = self.lip * t * t * t
-        return self.beta - t + 0.5 * self.eta * t * t + cubic / 6.0
+        # lip t t t: t^3 alone leaves the float range where lip t^3 does not
+        return self.beta - t + 0.5 * self.eta * t * t + self.lip * t * t * t / 6.0
 
     def deriv(self, t: float) -> float:
         return -1.0 + self.eta * t + 0.5 * self.lip * t * t
@@ -182,38 +188,17 @@ class CubicMajorant(MajorantFunction):
         return half_s, 0.5 * self.eta + half_s
 
     def closed_form_roots(self) -> tuple[float, float] | None:
-        # Roots of (lip/6) t^3 + (eta/2) t^2 - t + beta. A certified input
-        # has two nonnegative real roots straddled by r1 (plus one negative).
+        # the zeros of the scale-free cubic g (module docstring), in units of r1
         r1 = self.slope_root()
-        if 8.0 * self.lip * r1 < _EPS * self.eta:
-            # on [0, 2 r1] the cubic term is below eps/12 of the quadratic
-            # one: take the roots of the quadratic limit beta - t + eta t^2/2
-            disc = 1.0 - 2.0 * self.beta * self.eta
-            if disc < -4.0 * _EPS:
-                return None
-            q = 1.0 + math.sqrt(max(disc, 0.0))
-            roots = [2.0 * self.beta / q, q / self.eta]
-        else:
-            roots = _roots_in_range([self.lip / 6.0, 0.5 * self.eta, -1.0, self.beta])
-        if roots is None:
-            # a tiny lip overflows the companion matrix; in units of r1 the
-            # coefficients are of order one (r1^2 lip/6 is about 1/3)
-            roots = _roots_in_range([self.lip * r1 * r1 / 6.0, 0.5 * self.eta * r1,
-                                     -1.0, self.beta / r1])
-            if roots is None:
-                return None
-            roots = r1 * roots
-        scale = max(1.0, r1)
-        real = sorted(float(r.real) for r in roots
-                      if abs(r.imag) <= 1e-8 * max(1.0, abs(r)))
-        nonneg = [r for r in real if r >= -1e-14 * scale]
-        if len(nonneg) < 2:
+        b, a, c = self.beta / r1, 0.5 * self.eta * r1, self.lip * r1 * r1 / 6.0
+        g_min = b - 1.0 + a + c
+        if g_min > _MERGE_TOL:
             return None
-        t_lo = _newton_polish(self, max(nonneg[0], 0.0))
-        t_hi = _newton_polish(self, nonneg[1])
-        t_lo = _nudge_down(self, t_lo, lambda v: v >= 0.0)
-        t_hi = _nudge_down(self, t_hi, lambda v: v <= 0.0)
-        return (t_lo, t_hi)
+        if g_min >= -_MERGE_TOL:
+            # the criterion boundary: the zeros merge at r1 within rounding
+            return _signed_pair(self, r1, r1)
+        return _signed_pair(self, _newton_polish(self, r1 * _scale_free_root(b, a, c, 0.0)),
+                            _newton_polish(self, r1 * _scale_free_root(b, a, c, 4.0)))
 
     def rate_constant(self) -> float:
         ts = smallest_root(self)
@@ -283,20 +268,13 @@ class SmaleMajorant(MajorantFunction):
     def closed_form_roots(self) -> tuple[float, float] | None:
         a = self.alpha
         disc = (1.0 + a) ** 2 - 8.0 * a
-        if disc < 0.0:
-            # Allow for rounding right at the criterion boundary, where the
-            # two roots collide into a double root.
-            if disc > -64.0 * np.finfo(float).eps * (1.0 + a) ** 2:
-                disc = 0.0
-            else:
-                return None
-        s = math.sqrt(disc)
-        t_lo = (1.0 + a - s) / (4.0 * self.gamma)
-        t_hi = (1.0 + a + s) / (4.0 * self.gamma)
-        t_lo = _nudge_down(self, t_lo, lambda v: v >= 0.0)
-        if t_hi > t_lo:
-            t_hi = _nudge_down(self, t_hi, lambda v: v <= 0.0)
-        return (t_lo, t_hi)
+        if disc <= -64.0 * _EPS * (1.0 + a) ** 2:
+            return None
+        # a slightly negative disc is rounding at the criterion boundary,
+        # where the two roots collide into a double root
+        s = math.sqrt(max(disc, 0.0))
+        return _signed_pair(self, (1.0 + a - s) / (4.0 * self.gamma),
+                            (1.0 + a + s) / (4.0 * self.gamma))
 
     def rate_constant(self) -> float:
         ts = smallest_root(self)
@@ -378,13 +356,20 @@ class MajorizingSequence:
 # root finding
 
 
-def _roots_in_range(coeffs: list[float]) -> np.ndarray | None:
-    """np.roots(coeffs), or None when the companion matrix, the trailing
-    coefficients over the leading one, leaves the float range."""
-    lead = coeffs[0]
-    if lead == 0.0 or not math.isfinite(max(map(abs, coeffs[1:])) / lead):
-        return None
-    return np.roots(coeffs)
+def _scale_free_root(b: float, a: float, c: float, tau: float) -> float:
+    """Monotone Newton on the scale-free cubic g from tau = 0 to tau*, or from
+    4 to tau**, until rounding turns it back or across 1. Where the zeros
+    nearly merge it converges linearly, in up to about 30 steps; 100 caps it."""
+    rising = tau < 1.0
+    for _ in range(100):
+        slope = tau * (2.0 * a + 3.0 * c * tau) - 1.0
+        if slope == 0.0 or (slope < 0.0) != rising:
+            break
+        nxt = tau - (b - tau + tau * tau * (a + c * tau)) / slope
+        if not (tau < nxt <= 1.0 if rising else 1.0 <= nxt < tau):
+            break
+        tau = nxt
+    return tau
 
 
 def _newton_polish(h: MajorantFunction, t: float, steps: int = 3) -> float:
@@ -440,6 +425,14 @@ def _nudge_down(h: MajorantFunction, t: float,
             lo = mid
         else:
             hi = mid
+
+
+def _signed_pair(h: MajorantFunction, t_lo: float, t_hi: float) -> tuple[float, float]:
+    """(t*, t**) nudged to h(t*) >= 0 and h(t**) <= 0; merged zeros stay."""
+    t_lo = _nudge_down(h, t_lo, lambda v: v >= 0.0)
+    if t_hi > t_lo:
+        t_hi = _nudge_down(h, t_hi, lambda v: v <= 0.0)
+    return (t_lo, t_hi)
 
 
 def _locate_minimum(h: MajorantFunction) -> float | None:
@@ -587,10 +580,15 @@ def halley_ratio(h: MajorantFunction, t: float) -> float:
     On [0, t*] of a valid majorant this lies in [0, 1/4]; it measures how far
     the Halley correction deviates from the Newton one.
     """
-    slope = h.deriv(t)
+    return _halley_terms(h, t)[2]
+
+
+def _halley_terms(h: MajorantFunction, t: float) -> tuple[float, float, float]:
+    """h(t), h'(t) and L_h(t), from one evaluation of h, h' and h''."""
+    value, slope = h.value(t), h.deriv(t)
     if abs(slope) < 1e-300:
         raise DegenerateRootError(f"h'({t}) vanishes, ratio undefined")
-    return h.value(t) * h.second_deriv(t) / (2.0 * slope * slope)
+    return value, slope, value * h.second_deriv(t) / (2.0 * slope * slope)
 
 
 def halley_map(h: MajorantFunction, t: float) -> float:
@@ -605,8 +603,8 @@ def _halley_step(h: MajorantFunction, t: float, t_star: float) -> float:
     """``halley_map`` with t* already looked up."""
     if not (0.0 <= t < t_star):
         raise ValueError(f"t = {t} is outside [0, t*) with t* = {t_star}")
-    ratio = halley_ratio(h, t)
-    return t - h.value(t) / ((1.0 - ratio) * h.deriv(t))
+    value, slope, ratio = _halley_terms(h, t)
+    return t - value / ((1.0 - ratio) * slope)
 
 
 def _sampled_a2(h: MajorantFunction, t_star: float | None, grid_size: int,
@@ -744,7 +742,7 @@ def majorizing_sequence(h: MajorantFunction, max_iters: int = 25,
         nxt = _halley_step(h, points[-1], t_star)
         if nxt >= t_star:
             # rounding pushed past the root; settle on the largest float below
-            nxt = float(np.nextafter(t_star, 0.0))
+            nxt = math.nextafter(t_star, 0.0)
         step = nxt - points[-1]
         if step <= 0.0:
             break

@@ -113,6 +113,13 @@ def test_zero_eta_fails_a1():
     (1e-11, 1e10, 1e-10),
     (1e-160, 2e154, 1.0),  # eta^2 overflowed in criterion_bound
     (2.51e-277, 3.47e153, 1.39e-162),  # both companion scalings left the floats
+    # t^3 underflowed in value under a huge lip, so h(beta) read 0 and t*
+    # was beta; t* = 2.4913e-114, t** = 1.0527e-113
+    (2.383314231173618e-114, 6.088981369790589e-171, 4.1888287133226865e+226),
+    # absolute filters kept the negative companion root: t** was beta, and
+    # not 1.7701e-45, or the roots were lost below the criterion
+    (9.49905776334432e-124, 6.417476354243527e-193, 1.9149424547096686e+90),
+    (1.7049923727016341e-46, 6.935476855275419e-28, 3.538293846702077e+88),
 ])
 def test_large_eta_small_lip_certify(beta, eta, lip):
     cert = kantorovich_certificate(KantorovichInputs(beta, eta, lip))

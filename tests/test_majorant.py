@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,13 +15,17 @@ from halley_cert import (
     CallableMajorant,
     CubicMajorant,
     DegenerateRootError,
+    KantorovichInputs,
     NoRootError,
+    SmaleInputs,
     SmaleMajorant,
     check_assumptions,
     cubic_error_constant,
     halley_map,
     halley_ratio,
+    kantorovich_certificate,
     majorizing_sequence,
+    smale_certificate,
     smallest_root,
     uniqueness_radius,
 )
@@ -131,6 +136,64 @@ def test_nudge_without_a_float_of_the_wanted_sign_raises():
         _nudge_down(h, 0.5 * smallest_root(h), lambda v: v <= 0.0)
     with pytest.raises(DegenerateRootError):
         _nudge_down(h, 0.0, lambda v: v < 0.0)
+
+
+def _exact_cubic(args, t):
+    """h(t) of the cubic majorant in exact rationals, and the float
+    rounding allowance: 4 units of roundoff of h's terms plus 8 of the
+    smallest subnormals, the absolute floor of rounding below the normals."""
+    beta, eta, lip = map(Fraction, args)
+    t = Fraction(t)
+    terms = (beta, -t, eta * t * t / 2, lip * t ** 3 / 6)
+    allow = sum(map(abs, terms)) * Fraction(4.0 * 2.0 ** -53) + 8 * Fraction(2.0 ** -1074)
+    return sum(terms), allow
+
+
+def _assert_radii_bracket_the_zeros(args, t_star, t_out, rel):
+    """t* and t** on the correct side of their zeros of h within the
+    rounding allowance, and each within ``rel`` (or one float, where the
+    floats are coarser) below its zero."""
+    def past(t):
+        return max(t * (1.0 + rel), math.nextafter(t, math.inf))
+
+    (at_star, allow), (past_star, _) = _exact_cubic(args, t_star), _exact_cubic(args, past(t_star))
+    assert at_star >= -allow and past_star < 0
+    (at_out, allow), (past_out, _) = _exact_cubic(args, t_out), _exact_cubic(args, past(t_out))
+    assert at_out <= allow and past_out > 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(log_eta=st.floats(-300.0, 307.0), log_lip=st.floats(-320.0, 307.0),
+       log_share=st.floats(-30.0, math.log10(0.999)))
+def test_cubic_certificates_over_the_float_range(log_eta, log_lip, log_share):
+    eta, lip = 10.0 ** log_eta, 10.0 ** log_lip
+    beta = CubicMajorant(0.0, eta, lip).criterion_bound() * 10.0 ** log_share
+    cert = kantorovich_certificate(KantorovichInputs(beta, eta, lip))
+    assert cert.certified
+    assert cert.t_star < cert.uniqueness_radius
+    _assert_radii_bracket_the_zeros((beta, eta, lip), cert.t_star, cert.uniqueness_radius,
+                                    rel=1e-12)
+
+
+def test_scalar_certificates_call_no_numpy(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.roots ran")
+
+    monkeypatch.setattr(np, "roots", refuse)
+    monkeypatch.setattr(majorant, "np", None)
+    _cached_roots.cache_clear()
+    for args in [(0.2, 1.2, 1.2), (1e-160, 2e154, 1.0), (2.51e-277, 3.47e153, 1.39e-162),
+                 (2.383314231173618e-114, 6.088981369790589e-171, 4.1888287133226865e+226)]:
+        assert kantorovich_certificate(KantorovichInputs(*args)).certified
+    assert smale_certificate(SmaleInputs(0.1, 0.5)).certified
+
+
+def test_cubic_roots_merge_at_the_criterion_boundary():
+    h = CubicMajorant(TABLE_CUBIC.criterion_bound(), 1.2, 1.2)
+    # g(1) is within rounding of 0: both zeros sit at the minimum r1
+    assert h.closed_form_roots() == (h.slope_root(), h.slope_root())
+    with pytest.raises(NoRootError):
+        smallest_root(CubicMajorant(h.beta * (1.0 + 1e-12), 1.2, 1.2))
 
 
 def test_smale_beta_zero():
@@ -379,6 +442,32 @@ def test_majorizing_sequence_looks_up_t_star_once():
     below_root = math.nextafter(seq.t_star, 0.0)
     for t, nxt in zip(seq.points, seq.points[1:]):
         assert nxt == min(halley_map(h, t), below_root)
+
+
+def test_halley_step_evaluates_once_per_point():
+    calls = []
+
+    class Counting(CubicMajorant):
+        def value(self, t):
+            calls.append(("value", t))
+            return super().value(t)
+
+        def deriv(self, t):
+            calls.append(("deriv", t))
+            return super().deriv(t)
+
+        def second_deriv(self, t):
+            calls.append(("second_deriv", t))
+            return super().second_deriv(t)
+
+    h = Counting(0.2, 1.2, 1.2)
+    t_star = smallest_root(h)
+    calls.clear()
+    nxt = majorant._halley_step(h, 0.1, t_star)
+    assert sorted(calls) == [("deriv", 0.1), ("second_deriv", 0.1), ("value", 0.1)]
+    # the same arithmetic as the textbook form built on halley_ratio
+    ratio = halley_ratio(TABLE_CUBIC, 0.1)
+    assert nxt == 0.1 - TABLE_CUBIC.value(0.1) / ((1.0 - ratio) * TABLE_CUBIC.deriv(0.1))
 
 
 def test_cubic_error_constant_frozen_values():
