@@ -9,128 +9,15 @@ against that schedule. ``hammerstein`` is a worked integral-equation example
 wired through all of the above, with a command-line front end in ``cli``.
 """
 
-from .certificate import (
-    SMALE_CRITERION_BOUND,
-    ConvergenceCertificate,
-    ErrorBoundCheck,
-    ErrorBoundReport,
-    InitialConditionsReport,
-    KantorovichInputs,
-    SmaleInputs,
-    check_initial_conditions,
-    kantorovich_certificate,
-    smale_certificate,
-    verify_error_bound,
-)
-from .exceptions import (
-    AssumptionError,
-    DegenerateRootError,
-    HalleyCertError,
-    LFNormExceededError,
-    LinearSolveError,
-    NoRootError,
-)
-from .hammerstein import (
-    LAMBDA_CRITERION_LIMIT,
-    LAMBDA_DOMAIN_LIMIT,
-    HammersteinReport,
-    HammersteinSpec,
-    Table1Row,
-    analytic_bounds,
-    discretize,
-    green_kernel,
-    integrate_against_kernel,
-    quadrature_weights,
-    solve_and_check,
-    table1,
-    table1_csv,
-    uniform_grid,
-)
-from .majorant import (
-    AssumptionReport,
-    CallableMajorant,
-    CubicMajorant,
-    MajorantFunction,
-    MajorizingSequence,
-    SmaleMajorant,
-    check_assumptions,
-    cubic_error_constant,
-    halley_map,
-    halley_ratio,
-    majorizing_sequence,
-    smallest_root,
-    uniqueness_radius,
-)
-from .problem import (
-    STOP_REASONS,
-    NonlinearProblem,
-    SolveTrace,
-    TridiagonalForm,
-    estimate_q_order,
-    family_solve,
-    family_step,
-    halley_solve,
-    halley_step,
-    lf_matrix,
-    second_derivative_from_tensor,
-)
+from . import certificate, exceptions, hammerstein, majorant, problem
+from .certificate import *
+from .exceptions import *
+from .hammerstein import *
+from .majorant import *
+from .problem import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AssumptionError",
-    "AssumptionReport",
-    "CallableMajorant",
-    "ConvergenceCertificate",
-    "CubicMajorant",
-    "DegenerateRootError",
-    "ErrorBoundCheck",
-    "ErrorBoundReport",
-    "HalleyCertError",
-    "HammersteinReport",
-    "HammersteinSpec",
-    "InitialConditionsReport",
-    "KantorovichInputs",
-    "LAMBDA_CRITERION_LIMIT",
-    "LAMBDA_DOMAIN_LIMIT",
-    "LFNormExceededError",
-    "LinearSolveError",
-    "MajorantFunction",
-    "MajorizingSequence",
-    "NoRootError",
-    "NonlinearProblem",
-    "STOP_REASONS",
-    "SMALE_CRITERION_BOUND",
-    "SmaleInputs",
-    "SmaleMajorant",
-    "SolveTrace",
-    "Table1Row",
-    "TridiagonalForm",
-    "analytic_bounds",
-    "check_assumptions",
-    "check_initial_conditions",
-    "cubic_error_constant",
-    "discretize",
-    "estimate_q_order",
-    "family_solve",
-    "family_step",
-    "green_kernel",
-    "halley_map",
-    "halley_ratio",
-    "halley_solve",
-    "halley_step",
-    "integrate_against_kernel",
-    "kantorovich_certificate",
-    "lf_matrix",
-    "majorizing_sequence",
-    "quadrature_weights",
-    "second_derivative_from_tensor",
-    "smale_certificate",
-    "smallest_root",
-    "solve_and_check",
-    "table1",
-    "table1_csv",
-    "uniform_grid",
-    "uniqueness_radius",
-    "verify_error_bound",
-]
+__all__ = sorted({name for module in (certificate, exceptions, hammerstein,
+                                      majorant, problem)
+                  for name in module.__all__})

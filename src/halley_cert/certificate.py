@@ -10,7 +10,6 @@ model used for analytic operators.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -46,43 +45,14 @@ __all__ = [
 _DEFAULT_SEQ_TOL = 1e-12
 _BOUND_SLACK = 1.0 + 1e-8
 _NOISE_FLOOR = 1e-13
+# seeded random sign vectors added to the structured probes
+_RANDOM_PROBES = 32
 
 
-@dataclass(frozen=True)
-class KantorovichInputs:
-    """Scaled start-point data: residual bound beta, second-derivative bound
-    eta, and Lipschitz constant lip of the scaled second derivative."""
-
-    beta: float
-    eta: float
-    lip: float
-
-    def __post_init__(self):
-        if not (self.beta >= 0.0 and math.isfinite(self.beta)):
-            raise ValueError(f"beta must be a nonnegative real, got {self.beta}")
-        if not (self.eta >= 0.0 and math.isfinite(self.eta)):
-            raise ValueError(f"eta must be a nonnegative real, got {self.eta}")
-        if not (self.lip > 0.0 and math.isfinite(self.lip)):
-            raise ValueError(f"lip must be a positive real, got {self.lip}")
-
-
-@dataclass(frozen=True)
-class SmaleInputs:
-    """Start-point data for the analytic setting: residual bound beta and
-    the derivative-growth rate gamma."""
-
-    beta: float
-    gamma: float
-
-    def __post_init__(self):
-        if not (self.beta >= 0.0 and math.isfinite(self.beta)):
-            raise ValueError(f"beta must be a nonnegative real, got {self.beta}")
-        if not (self.gamma > 0.0 and math.isfinite(self.gamma)):
-            raise ValueError(f"gamma must be a positive real, got {self.gamma}")
-
-    @property
-    def alpha(self) -> float:
-        return self.beta * self.gamma
+# The start-point data are the coefficients of the majorant h they define,
+# so the inputs of a certificate are the majorant itself, validated once.
+KantorovichInputs = CubicMajorant
+SmaleInputs = SmaleMajorant
 
 
 @dataclass(frozen=True)
@@ -102,12 +72,16 @@ class ConvergenceCertificate:
     uniqueness_radius: float | None
     rate_constant: float | None
     sequence: MajorizingSequence | None
-    apriori_errors: tuple[float, ...] | None
     majorant: MajorantFunction | None = field(default=None, compare=False, repr=False)
 
     @property
     def certified(self) -> bool:
         return self.verdict == "certified"
+
+    @property
+    def apriori_errors(self) -> tuple[float, ...] | None:
+        """The error budget t* - t_k per step: the sequence's gaps."""
+        return None if self.sequence is None else self.sequence.gaps
 
     @property
     def criterion_margin(self) -> float:
@@ -159,8 +133,6 @@ class ConvergenceCertificate:
             rate_constant=(None if data["rate_constant"] is None
                            else float(data["rate_constant"])),
             sequence=sequence,
-            apriori_errors=None if apriori is None
-                           else tuple(float(g) for g in apriori),
         )
 
 
@@ -189,7 +161,6 @@ def _certified(kind: str, lhs: float, rhs: float, h: MajorantFunction,
         uniqueness_radius=t_out,
         rate_constant=rate,
         sequence=seq,
-        apriori_errors=seq.gaps,
         majorant=h,
     )
 
@@ -205,9 +176,19 @@ def _failed(kind: str, lhs: float, rhs: float,
         uniqueness_radius=None,
         rate_constant=None,
         sequence=None,
-        apriori_errors=None,
         majorant=h,
     )
+
+
+def _certificate(kind: str, h: MajorantFunction, lhs: float, rhs: float,
+                 seq_len: int) -> ConvergenceCertificate:
+    """Certified iff lhs < rhs strictly; a failed criterion carries only its
+    two sides and h."""
+    if seq_len < 1:
+        raise ValueError(f"seq_len must be at least 1, got {seq_len}")
+    if lhs < rhs:
+        return _certified(kind, lhs, rhs, h, seq_len)
+    return _failed(kind, lhs, rhs, h)
 
 
 def kantorovich_certificate(inputs: KantorovichInputs,
@@ -217,13 +198,8 @@ def kantorovich_certificate(inputs: KantorovichInputs,
     Certifies iff beta < 2(eta + 2s) / (3 (eta + s)^2) with s = sqrt(eta^2
     + 2 lip), strictly. beta = 0 yields the trivial certificate t* = 0.
     """
-    if seq_len < 1:
-        raise ValueError(f"seq_len must be at least 1, got {seq_len}")
-    h = CubicMajorant(beta=inputs.beta, eta=inputs.eta, lip=inputs.lip)
-    bound = h.criterion_bound()
-    if not inputs.beta < bound:
-        return _failed("kantorovich", inputs.beta, bound, h)
-    return _certified("kantorovich", inputs.beta, bound, h, seq_len)
+    return _certificate("kantorovich", inputs, inputs.beta,
+                        inputs.criterion_bound(), seq_len)
 
 
 def smale_certificate(inputs: SmaleInputs,
@@ -232,12 +208,8 @@ def smale_certificate(inputs: SmaleInputs,
 
     Certifies iff alpha = beta * gamma < 3 - 2 sqrt(2), strictly.
     """
-    if seq_len < 1:
-        raise ValueError(f"seq_len must be at least 1, got {seq_len}")
-    h = SmaleMajorant(beta=inputs.beta, gamma=inputs.gamma)
-    if not inputs.alpha < SMALE_CRITERION_BOUND:
-        return _failed("smale", inputs.alpha, SMALE_CRITERION_BOUND, h)
-    return _certified("smale", inputs.alpha, SMALE_CRITERION_BOUND, h, seq_len)
+    return _certificate("smale", inputs, inputs.alpha, SMALE_CRITERION_BOUND,
+                        seq_len)
 
 
 @dataclass(frozen=True)
@@ -262,7 +234,7 @@ class InitialConditionsReport:
         return self.residual_ok and self.second_ok
 
 
-def _sign_probes(n: int, num_random: int, seed: int) -> np.ndarray:
+def _sign_probes(n: int) -> np.ndarray:
     probes = [np.ones(n)]
     alt = np.ones(n)
     alt[1::2] = -1.0
@@ -274,15 +246,14 @@ def _sign_probes(n: int, num_random: int, seed: int) -> np.ndarray:
         w = -np.ones(n)
         w[j] = 1.0
         probes.append(w)
-    rng = np.random.default_rng(seed)
-    for _ in range(num_random):
+    rng = np.random.default_rng(0)
+    for _ in range(_RANDOM_PROBES):
         probes.append(rng.choice([-1.0, 1.0], size=n))
     return np.unique(np.array(probes), axis=0)
 
 
-def check_initial_conditions(p: NonlinearProblem, x0, h: MajorantFunction,
-                             num_random_probes: int = 32,
-                             seed: int = 0) -> InitialConditionsReport:
+def check_initial_conditions(p: NonlinearProblem, x0,
+                             h: MajorantFunction) -> InitialConditionsReport:
     """Check |F'(x0)^{-1} F(x0)| <= h(0) and |F'(x0)^{-1} F''(x0)| <= h''(0).
 
     The first quantity is computed exactly (one linear solve). The second is
@@ -296,7 +267,7 @@ def check_initial_conditions(p: NonlinearProblem, x0, h: MajorantFunction,
     residual_norm = p.vector_norm(d)
     residual_bound = h.value(0.0)
 
-    probes = _sign_probes(p.dim, num_random_probes, seed)
+    probes = _sign_probes(p.dim)
     if p.norm_kind == "euclidean":
         probes = probes / np.linalg.norm(probes, axis=1, keepdims=True)
     best = 0.0

@@ -1,5 +1,14 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "HalleyCertError",
+    "NoRootError",
+    "DegenerateRootError",
+    "AssumptionError",
+    "LinearSolveError",
+    "LFNormExceededError",
+]
+
 
 class HalleyCertError(Exception):
     """Base class for errors raised by this package."""

@@ -54,10 +54,10 @@ from ._format import float_text
 from .certificate import (
     ConvergenceCertificate,
     ErrorBoundReport,
-    KantorovichInputs,
     kantorovich_certificate,
     verify_error_bound,
 )
+from .majorant import CubicMajorant
 from .problem import (
     NonlinearProblem,
     SolveTrace,
@@ -76,7 +76,6 @@ __all__ = [
     "green_kernel",
     "uniform_grid",
     "quadrature_weights",
-    "integrate_against_kernel",
     "discretize",
     "analytic_bounds",
     "table1",
@@ -88,8 +87,6 @@ __all__ = [
 # |lam| below 32/27.
 LAMBDA_DOMAIN_LIMIT = 8.0 / 3.0
 LAMBDA_CRITERION_LIMIT = 32.0 / 27.0
-
-_QUAD_ORDER = 4
 
 
 @dataclass(frozen=True)
@@ -127,16 +124,6 @@ def green_kernel(s, t):
 
 def uniform_grid(m: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, m)
-
-
-def _gauss_panels(edges: np.ndarray, order: int):
-    """Gauss points and weights for each panel [edges[k], edges[k+1]]."""
-    gx, gw = np.polynomial.legendre.leggauss(order)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(edges)
-    pts = mid[:, None] + half[:, None] * gx[None, :]
-    wts = half[:, None] * gw[None, :]
-    return pts, wts
 
 
 def quadrature_weights(grid: np.ndarray) -> np.ndarray:
@@ -208,21 +195,6 @@ def _weights_times(grid: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         return rest * below + s * above
 
     return times
-
-
-def integrate_against_kernel(s: float, func: Callable[[float], float],
-                             grid: np.ndarray, order: int = _QUAD_ORDER) -> float:
-    """int_0^1 G(s, t) func(t) dt by the same panel rule as the weights.
-
-    The panel edges are the grid nodes plus s itself, so the kernel kink is
-    always a panel edge; for polynomial func up to degree 2 * order - 2 the
-    result is exact to rounding.
-    """
-    grid = np.asarray(grid, dtype=float)
-    edges = np.unique(np.concatenate([grid, [float(s)]]))
-    pts, wts = _gauss_panels(edges, order)
-    vals = np.array([func(float(t)) for t in pts.ravel()]).reshape(pts.shape)
-    return float(np.sum(green_kernel(s, pts) * wts * vals))
 
 
 def discretize(spec: HammersteinSpec) -> NonlinearProblem:
@@ -359,7 +331,7 @@ def table1(lambdas: Sequence[float] = (0.25, 0.5, 0.75, 1.0),
                                   uniqueness=math.inf, certified=True))
             continue
         beta, eta, lip = analytic_bounds(lam)
-        cert = kantorovich_certificate(KantorovichInputs(beta, eta, lip),
+        cert = kantorovich_certificate(CubicMajorant(beta, eta, lip),
                                        seq_len=seq_len)
         if cert.certified:
             rows.append(Table1Row(lam=lam, existence=cert.t_star,
@@ -430,7 +402,7 @@ def solve_and_check(spec: HammersteinSpec, tol: float = 1e-12,
         note = "no closed-form bounds for this forcing or power"
     else:
         beta, eta, lip = analytic_bounds(spec.lam)
-        cert = kantorovich_certificate(KantorovichInputs(beta, eta, lip))
+        cert = kantorovich_certificate(CubicMajorant(beta, eta, lip))
         if not cert.certified:
             note = (f"criterion failed: beta = {cert.criterion_lhs:.6g} is not "
                     f"below {cert.criterion_rhs:.6g}")

@@ -26,6 +26,7 @@ g(4) = b + 4 + 40c > 0, to tau**.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -54,12 +55,16 @@ __all__ = [
 
 _SLOPE_FLOOR = 1e-12
 _EPS = math.ulp(1.0)
+_NORMAL_MIN = sys.float_info.min
 # g(1) within this of 0 is the criterion boundary, where the zeros merge
 _MERGE_TOL = 16.0 * _EPS
 
 # alpha = beta * gamma must stay below this for the rational majorant to
 # have two positive zeros.
 SMALE_CRITERION_BOUND = 3.0 - 2.0 * math.sqrt(2.0)
+
+# Points of the grid on which A2 is sampled when no closed form decides it.
+_A2_GRID_SIZE = 64
 
 # Entries kept by the roots cache: repeated inputs still hit it, while a
 # sweep over distinct inputs cannot grow it without bound.
@@ -162,29 +167,38 @@ class CubicMajorant(MajorantFunction):
     def criterion_bound(self) -> float:
         """Largest beta still compatible with a certified iteration."""
         try:
-            s = math.sqrt(self.eta ** 2 + 2.0 * self.lip)
+            square = self.eta ** 2 + 2.0 * self.lip
+            s = math.sqrt(square)
             bound = 2.0 * (self.eta + 2.0 * s) / (3.0 * (self.eta + s) ** 2)
         except OverflowError:
-            bound = 0.0
-        if 0.0 < bound < math.inf:
+            square = bound = 0.0
+        if square >= _NORMAL_MIN and 0.0 < bound < math.inf:
             return bound
-        # a square left the float range (0 or nan above): 2 (eta + 2s) /
-        # (3 u^2) with u = eta + s equals (1 + s/u) / (3u) in halves of s, u
+        # a square left the normal float range (subnormal, or 0 or nan
+        # above): 2 (eta + 2s) / (3 u^2) with u = eta + s equals
+        # (1 + s/u) / (3u) in halves of s, u
         half_s, half_u = self._halved_slope_terms()
         return (1.0 + half_s / half_u) / half_u / 3.0
 
     def slope_root(self) -> float:
         """The unique positive zero r1 of h', which separates t* from t**."""
         try:
-            r1 = 2.0 / (self.eta + math.sqrt(self.eta ** 2 + 2.0 * self.lip))
+            square = self.eta ** 2 + 2.0 * self.lip
+            r1 = 2.0 / (self.eta + math.sqrt(square))
         except OverflowError:
-            r1 = 0.0
-        return r1 if r1 > 0.0 else 1.0 / self._halved_slope_terms()[1]
+            square = r1 = 0.0
+        if square >= _NORMAL_MIN and r1 > 0.0:
+            return r1
+        return 1.0 / self._halved_slope_terms()[1]
 
     def _halved_slope_terms(self) -> tuple[float, float]:
         """s/2 and (eta + s)/2 for s = sqrt(eta^2 + 2 lip), free of squares,
         so finite for every valid eta and lip."""
-        half_s = math.hypot(0.5 * self.eta, math.sqrt(0.5 * self.lip))
+        # sqrt(lip / 2) with one rounding: halving a subnormal lip would
+        # round, and doubling a lip near the float maximum would overflow
+        lip = self.lip
+        root = math.sqrt(0.5 * lip) if lip >= 1.0 else 0.5 * math.sqrt(2.0 * lip)
+        half_s = math.hypot(0.5 * self.eta, root)
         return half_s, 0.5 * self.eta + half_s
 
     def closed_form_roots(self) -> tuple[float, float] | None:
@@ -295,7 +309,6 @@ class CallableMajorant(MajorantFunction):
     second_deriv_fn: Callable[[float], float]
     bound: float = math.inf
     third_deriv_fn: Callable[[float], float] | None = None
-    second_deriv_left_fn: Callable[[float], float] | None = None
 
     @property
     def domain_bound(self) -> float:
@@ -314,11 +327,6 @@ class CallableMajorant(MajorantFunction):
         if self.third_deriv_fn is None:
             return None
         return float(self.third_deriv_fn(t))
-
-    def second_deriv_left(self, t: float) -> float:
-        if self.second_deriv_left_fn is not None:
-            return float(self.second_deriv_left_fn(t))
-        return super().second_deriv_left(t)
 
 
 @dataclass(frozen=True)
@@ -607,8 +615,7 @@ def _halley_step(h: MajorantFunction, t: float, t_star: float) -> float:
     return t - value / ((1.0 - ratio) * slope)
 
 
-def _sampled_a2(h: MajorantFunction, t_star: float | None, grid_size: int,
-                notes: list[str]) -> bool:
+def _sampled_a2(h: MajorantFunction, t_star: float | None, notes: list[str]) -> bool:
     """A2 by monotonicity and midpoint convexity of h'' on a uniform grid."""
     t_min = _locate_minimum(h)
     if t_min is not None:
@@ -623,7 +630,7 @@ def _sampled_a2(h: MajorantFunction, t_star: float | None, grid_size: int,
 
     ok = True
     try:
-        grid = np.linspace(0.0, extent, grid_size)
+        grid = np.linspace(0.0, extent, _A2_GRID_SIZE)
         vals = np.array([h.second_deriv(float(t)) for t in grid])
         scale = max(1.0, float(np.max(np.abs(vals))))
         diffs = np.diff(vals)
@@ -640,20 +647,18 @@ def _sampled_a2(h: MajorantFunction, t_star: float | None, grid_size: int,
     return ok
 
 
-def check_assumptions(h: MajorantFunction, grid_size: int = 64) -> AssumptionReport:
+def check_assumptions(h: MajorantFunction) -> AssumptionReport:
     """Check A1 exactly at 0, A2 in closed form or on a grid, A3 via root
     finding.
 
     A2 is the answer of ``h.closed_form_a2()`` when the type has one, as
     ``CubicMajorant`` and ``SmaleMajorant`` do: their validated parameters
     prove it. Otherwise it is tested by monotonicity and midpoint convexity
-    of h'' on a uniform grid of ``grid_size`` points over [0, min(R, T)],
+    of h'' on a uniform grid of 64 points over [0, min(R, T)],
     where T is twice the minimum of h (or twice t* when the minimum is out
     of reach). The criterion boundary, where h'(t*) = 0, is reported as a
     failure of A3.
     """
-    if grid_size < 16:
-        raise ValueError(f"grid_size must be at least 16, got {grid_size}")
     notes: list[str] = []
 
     h0: float | None = None
@@ -698,7 +703,7 @@ def check_assumptions(h: MajorantFunction, grid_size: int = 64) -> AssumptionRep
 
     a2 = h.closed_form_a2()
     if a2 is None:
-        a2 = _sampled_a2(h, t_star, grid_size, notes)
+        a2 = _sampled_a2(h, t_star, notes)
     elif not a2:
         notes.append("h'' is not convex and strictly increasing")
 

@@ -2,7 +2,8 @@
 
 The bisection oracle here deliberately avoids every closed form in the
 package; it only evaluates h and h' and halves intervals, so agreement with
-the library's root finders is a real cross-check.
+the library's root finders is a real cross-check. Likewise the kernel
+integrals come from Gauss panels, not from the closed-form weights.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from halley_cert import (
     CubicMajorant,
     NonlinearProblem,
     SmaleMajorant,
+    green_kernel,
     lf_matrix,
 )
 
@@ -152,3 +154,28 @@ def oracle_roots(h) -> tuple[float, float]:
             break
     t_outer = bisect_zero(h.value, t_min, hi)
     return t_star, t_outer
+
+
+def _gauss_panels(edges: np.ndarray, order: int):
+    """Gauss points and weights for each panel [edges[k], edges[k+1]]."""
+    gx, gw = np.polynomial.legendre.leggauss(order)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * np.diff(edges)
+    pts = mid[:, None] + half[:, None] * gx[None, :]
+    wts = half[:, None] * gw[None, :]
+    return pts, wts
+
+
+def integrate_against_kernel(s: float, func: Callable[[float], float],
+                             grid: np.ndarray, order: int = 4) -> float:
+    """int_0^1 G(s, t) func(t) dt by Gauss panels of the given order.
+
+    The panel edges are the grid nodes plus s itself, so the kernel kink is
+    always a panel edge; for polynomial func up to degree 2 * order - 2 the
+    result is exact to rounding.
+    """
+    grid = np.asarray(grid, dtype=float)
+    edges = np.unique(np.concatenate([grid, [float(s)]]))
+    pts, wts = _gauss_panels(edges, order)
+    vals = np.array([func(float(t)) for t in pts.ravel()]).reshape(pts.shape)
+    return float(np.sum(green_kernel(s, pts) * wts * vals))

@@ -19,7 +19,7 @@ from halley_cert import (
     smale_certificate,
     verify_error_bound,
 )
-from halley_cert.majorant import CubicMajorant
+from halley_cert.majorant import CubicMajorant, SmaleMajorant
 from helpers import (
     linear_problem,
     random_certified_cubic,
@@ -35,6 +35,9 @@ def table_cert(seq_len=10):
 
 
 def test_input_validation():
+    # the inputs are the majorants, so their validation is the majorants'
+    assert KantorovichInputs is CubicMajorant
+    assert SmaleInputs is SmaleMajorant
     for bad in [(-0.1, 1.0, 1.0), (0.1, -1.0, 1.0), (0.1, 1.0, 0.0),
                 (math.inf, 1.0, 1.0), (0.1, 1.0, math.nan)]:
         with pytest.raises(ValueError):
@@ -52,6 +55,7 @@ def test_input_validation():
 def test_kantorovich_table_row():
     cert = table_cert()
     assert cert.certified
+    assert cert.majorant is TABLE_INPUTS
     assert cert.verdict == "certified"
     assert cert.majorant_kind == "kantorovich"
     assert cert.criterion_lhs == 0.2
@@ -221,6 +225,7 @@ def test_json_schema_and_round_trip():
     assert back.sequence.points == cert.sequence.points
     assert back.sequence.converged_at == cert.sequence.converged_at
     assert back.apriori_errors == cert.apriori_errors
+    assert back.apriori_errors == back.sequence.gaps
 
 
 def test_failed_certificate_round_trip():

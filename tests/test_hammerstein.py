@@ -23,7 +23,6 @@ from halley_cert import (
     green_kernel,
     halley_solve,
     halley_step,
-    integrate_against_kernel,
     kantorovich_certificate,
     lf_matrix,
     quadrature_weights,
@@ -34,7 +33,7 @@ from halley_cert import (
 )
 from halley_cert import hammerstein, problem
 from halley_cert.majorant import CubicMajorant
-from helpers import band_matrix
+from helpers import band_matrix, integrate_against_kernel
 
 # existence/uniqueness radii for the reference couplings, from the
 # closed-form criterion at full precision

@@ -188,6 +188,17 @@ def test_scalar_certificates_call_no_numpy(monkeypatch):
     assert smale_certificate(SmaleInputs(0.1, 0.5)).certified
 
 
+def test_criterion_bound_where_the_slope_square_is_subnormal():
+    # eta^2 + 2 lip is subnormal here, where its rounding moved the bound
+    # by 1.4e-5; the square-free path keeps the scale-free g(1) = h(r1) / r1
+    # at 0 within rounding
+    eta, lip = 5.8e-161, 3.3e-320
+    h = CubicMajorant(CubicMajorant(0.0, eta, lip).criterion_bound(), eta, lip)
+    r1 = h.slope_root()
+    g_at_1 = _exact_cubic((h.beta, eta, lip), r1)[0] / Fraction(r1)
+    assert abs(g_at_1) <= 16 * Fraction(2.0 ** -52)
+
+
 def test_cubic_roots_merge_at_the_criterion_boundary():
     h = CubicMajorant(TABLE_CUBIC.criterion_bound(), 1.2, 1.2)
     # g(1) is within rounding of 0: both zeros sit at the minimum r1
@@ -328,11 +339,6 @@ def test_check_assumptions_survives_evaluation_failure():
     rep = check_assumptions(h)
     assert not rep.all_hold
     assert rep.diagnostics
-
-
-def test_check_assumptions_grid_validation():
-    with pytest.raises(ValueError):
-        check_assumptions(TABLE_CUBIC, grid_size=8)
 
 
 def test_check_assumptions_eta_zero_fails_a1():
