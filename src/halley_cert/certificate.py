@@ -268,8 +268,6 @@ def check_initial_conditions(p: NonlinearProblem, x0,
     residual_bound = h.value(0.0)
 
     probes = _sign_probes(p.dim)
-    if p.norm_kind == "euclidean":
-        probes = probes / np.linalg.norm(probes, axis=1, keepdims=True)
     best = 0.0
     for u in probes:
         for v in probes:
@@ -321,15 +319,15 @@ class ErrorBoundReport:
                    for c in self.checks)
 
 
-def verify_error_bound(trace: SolveTrace, cert: ConvergenceCertificate,
-                       noise_floor: float = _NOISE_FLOOR) -> ErrorBoundReport:
+def verify_error_bound(trace: SolveTrace,
+                       cert: ConvergenceCertificate) -> ErrorBoundReport:
     """Check the trace against the certificate's majorizing schedule.
 
     Treats the final iterate as the limit x*. For each earlier step k the
     containment |x* - x_k| <= t* - t_k and the cubic recursion
     |x* - x_{k+1}| <= (t* - t_{k+1}) (|x* - x_k| / (t* - t_k))^3 must hold,
-    each up to a slack factor of 1 + 1e-8. Errors at or below ``noise_floor``
-    are rounding noise; their rows are marked vacuous and pass.
+    each up to a slack factor of 1 + 1e-8. Errors at or below 1e-13 are
+    rounding noise; their rows are marked vacuous and pass.
     """
     if not cert.certified:
         raise ValueError("certificate did not certify; nothing to verify against")
@@ -341,7 +339,7 @@ def verify_error_bound(trace: SolveTrace, cert: ConvergenceCertificate,
 
     xs = [np.asarray(x, dtype=float) for x in trace.iterates]
     limit = xs[-1]
-    errors = [vector_norm(x - limit, trace.norm_kind) for x in xs]
+    errors = [vector_norm(x - limit) for x in xs]
 
     t_star = cert.t_star
     points = list(cert.sequence.points)
@@ -353,7 +351,7 @@ def verify_error_bound(trace: SolveTrace, cert: ConvergenceCertificate,
     gaps = [t_star - points[k] if k < len(points) else 0.0
             for k in range(len(xs))]
 
-    if errors and errors[0] > t_star * _BOUND_SLACK and errors[0] > noise_floor:
+    if errors and errors[0] > t_star * _BOUND_SLACK and errors[0] > _NOISE_FLOOR:
         return ErrorBoundReport(
             checks=(),
             mismatch=True,
@@ -366,16 +364,16 @@ def verify_error_bound(trace: SolveTrace, cert: ConvergenceCertificate,
     for k in range(len(xs) - 1):
         e_k = errors[k]
         gap_k = gaps[k]
-        vacuous = e_k <= noise_floor
+        vacuous = e_k <= _NOISE_FLOOR
         containment_ok = vacuous or e_k <= gap_k * _BOUND_SLACK
         recursion_bound: float | None = None
         e_next = errors[k + 1]
         if vacuous or gap_k <= 0.0:
             # the budget ratio e_k / gap_k is all noise here
-            recursion_ok: bool | None = e_next <= noise_floor
+            recursion_ok: bool | None = e_next <= _NOISE_FLOOR
         else:
             recursion_bound = gaps[k + 1] * (e_k / gap_k) ** 3
-            recursion_ok = (e_next <= noise_floor
+            recursion_ok = (e_next <= _NOISE_FLOOR
                             or e_next <= recursion_bound * _BOUND_SLACK)
         checks.append(ErrorBoundCheck(
             index=k,

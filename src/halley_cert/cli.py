@@ -3,7 +3,8 @@
 Exit codes are a function of outcome class only:
 
     0  success (certified / converged / all table rows certified)
-    1  usage error (bad flags, malformed numbers, invalid env override)
+    1  usage error (bad flags, malformed numbers, invalid env override) or
+       a typed package error (such as a majorant failing its assumptions)
     2  certificate criterion failed
     3  table contains at least one uncertified row
     4  solver did not converge
@@ -32,6 +33,7 @@ from .certificate import (
     kantorovich_certificate,
     smale_certificate,
 )
+from .exceptions import HalleyCertError
 from .hammerstein import HammersteinSpec, solve_and_check, table1, table1_csv
 
 __all__ = ["main", "build_parser", "cmd_certificate", "cmd_table1", "cmd_solve"]
@@ -103,12 +105,6 @@ def _human_lines(value, indent: int = 0) -> list[str]:
             if isinstance(v, dict):
                 lines.append(f"{pad}{k}:")
                 lines.extend(_human_lines(v, indent + 1))
-            elif isinstance(v, (list, tuple)) and any(
-                    isinstance(item, dict) for item in v):
-                lines.append(f"{pad}{k}:")
-                for pos, item in enumerate(v):
-                    lines.append(f"{pad}  [{pos}]")
-                    lines.extend(_human_lines(item, indent + 2))
             elif isinstance(v, (list, tuple)):
                 joined = " ".join(_human_scalar(item) for item in v)
                 lines.append(f"{pad}{k}: {joined}")
@@ -352,7 +348,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "table1":
             return cmd_table1(args)
         return cmd_solve(args)
-    except _UsageError as exc:
+    except (_UsageError, HalleyCertError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

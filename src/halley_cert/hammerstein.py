@@ -36,14 +36,12 @@ dense one at that level; later steps see smaller residuals and correct it.
 F and the second-derivative action never build W either: W = G M_h with
 G[i, j] = G(s_i, s_j) and M_h the tridiagonal mass matrix of the hats, and
 G z takes two running sums (``_weights_times``). So a solve holds O(m)
-memory. The dense W is built once per discretized problem, on the first
-call of ``eval_jacobian`` or ``eval_second_matrix``, which only audits and
-the dense path make.
+memory. Only ``eval_jacobian`` builds the dense W, anew on every call and
+without keeping it; audits and the dense path call it.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -200,14 +198,12 @@ def _weights_times(grid: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
 def discretize(spec: HammersteinSpec) -> NonlinearProblem:
     """Nystrom system for the spec: F_i(u) = u_i - f(s_i) - lam sum_j w_ij u_j^p.
 
-    The Jacobian, the second-derivative action and its matrix form
-    F''(u)[., d] = -p (p - 1) lam W diag(u^(p-2) d) fall out of the same
-    weight matrix. F and the action apply W in O(m) without forming it; the
-    two matrix callbacks build the dense W on first use, once. The solvers
-    use the tridiagonal form premultiplied by the finite-difference
-    Laplacian K (see the module docstring) instead; the dense callbacks stay
-    for audits and callers of their own. Uses the max-norm, in which the
-    analytic bounds are stated.
+    The Jacobian and the second-derivative action fall out of the same
+    weight matrix. F and the action apply W in O(m) without forming it;
+    ``eval_jacobian`` builds the dense W on each call. The solvers use the
+    tridiagonal form premultiplied by the finite-difference Laplacian K (see
+    the module docstring) instead; the Jacobian stays for audits and callers
+    of their own.
     """
     grid = uniform_grid(spec.nodes)
     if spec.forcing is None:
@@ -220,35 +216,24 @@ def discretize(spec: HammersteinSpec) -> NonlinearProblem:
     p = spec.power
     w_times = _weights_times(grid)
 
-    @functools.cache
-    def weights():
-        # the dense W, built on the first matrix request only
-        return quadrature_weights(grid)
-
     def eval_f(u):
         u = np.asarray(u, dtype=float)
         return u - f_vec - lam * w_times(u ** p)
 
     def eval_jacobian(u):
         u = np.asarray(u, dtype=float)
-        return np.eye(spec.nodes) - p * lam * (weights() * (u ** (p - 1))[None, :])
+        w = quadrature_weights(grid)
+        return np.eye(spec.nodes) - p * lam * (w * (u ** (p - 1))[None, :])
 
     def eval_second(u, v, z):
         u = np.asarray(u, dtype=float)
         return -p * (p - 1) * lam * w_times(u ** (p - 2) * np.asarray(v) * np.asarray(z))
-
-    def eval_second_matrix(u, d):
-        # column j is eval_second(u, e_j, d): W scaled by u_j^(p-2) d_j
-        u = np.asarray(u, dtype=float)
-        return -p * (p - 1) * lam * (weights() * (u ** (p - 2) * np.asarray(d))[None, :])
 
     return NonlinearProblem(
         dim=spec.nodes,
         eval_f=eval_f,
         eval_jacobian=eval_jacobian,
         eval_second=eval_second,
-        norm_kind="max",
-        eval_second_matrix=eval_second_matrix,
         tridiagonal=_laplacian_form(spec.nodes, lam, p),
     )
 

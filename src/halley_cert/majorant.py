@@ -732,7 +732,7 @@ def majorizing_sequence(h: MajorantFunction, max_iters: int = 25,
     report = check_assumptions(h)
     if not report.all_hold:
         raise AssumptionError(report)
-    t_star = smallest_root(h)
+    t_star = report.t_star   # A3 holds, so this is smallest_root(h)
 
     points = [0.0]
     converged_at: int | None = None

@@ -17,31 +17,32 @@ system as (F'(x) - B/2) y = F(x), so it costs one more factorization and no
 matrix L_F. The family applies S = 2 L_F as y -> F'(x)^{-1} (B y), one
 solve per product, and never forms L_F either.
 
-The step systems are dense by default: B comes whole from the optional
-``eval_second_matrix(x, d)`` hook or column by column from n calls to
-``eval_second``, and every factorization is a dense LU. A problem whose
-systems become tridiagonal after premultiplication by a fixed nonsingular
-matrix A can say so through the optional ``tridiagonal`` hook
+The step systems are dense by default: B comes column by column from n
+calls to ``eval_second``, and every factorization is a dense LU. A problem
+whose systems become tridiagonal after premultiplication by a fixed
+nonsingular matrix A can say so through the optional ``tridiagonal`` hook
 (:class:`TridiagonalForm`). The solvers then factor T = A F'(x) and
 A F'(x) - A B / 2 with LAPACK's tridiagonal gttrf in O(n) and solve against
 A F(x). Halley's method and its family are affine invariant, so the
 iterates are those of the dense systems up to rounding; residuals and stop
 tests always read the original F.
 
+Every norm is the max norm, and every matrix norm the one it induces, the
+largest absolute row sum: the integral-equation bounds are stated in it.
 The recorded |L_F|, which the family also uses as its gate, is exact up to
-rounding on every path. In the max norm under a tridiagonal form it costs
-one more solve when a check in O(n) proves T^{-1} >= 0 entrywise and every
-column of S = A B has one sign: then |L_F| is the largest entry of
-T^{-1} (|S| 1) / 2. Otherwise, and on the dense path, it is the norm of the
-matrix L_F = (1/2) T^{-1} S from one n-right-hand-side solve, O(n^2) under
-the form.
+rounding on every path. Under a tridiagonal form it costs one more solve
+when a check in O(n) proves T^{-1} >= 0 entrywise and every column of
+S = A B has one sign: then |L_F| is the largest entry of T^{-1} (|S| 1) / 2.
+Otherwise, and on the dense path, it is the norm of the matrix
+L_F = (1/2) T^{-1} S from one n-right-hand-side solve, O(n^2) under the
+form.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -75,20 +76,13 @@ STOP_REASONS = frozenset({
 
 _CONVERGED_REASONS = frozenset({"residual_below_tol", "step_below_tol"})
 
-_NORM_KINDS = ("max", "euclidean")
-
 # Relative pivot threshold for declaring a factorization singular.
 _PIVOT_RTOL = 1e-13
 
 
-def vector_norm(v, kind: str = "max") -> float:
-    """The Euclidean norm of v for kind "euclidean", else its max norm.
-
-    The max norm of an empty vector is 0.
-    """
+def vector_norm(v) -> float:
+    """The max norm of v; 0 for an empty vector."""
     v = np.asarray(v, dtype=float)
-    if kind == "euclidean":
-        return float(np.linalg.norm(v))
     return float(np.max(np.abs(v))) if v.size else 0.0
 
 
@@ -115,44 +109,35 @@ class NonlinearProblem:
     """A system F(x) = 0 in R^n with first and second derivative callbacks.
 
     eval_second(x, u, v) must return the vector F''(x)[u, v]; it is expected
-    to be symmetric and bilinear in (u, v). The optional
-    eval_second_matrix(x, d) returns the n-by-n matrix F''(x)[., d], whose
-    column j is eval_second(x, e_j, d); the solvers use it in place of n
-    eval_second calls per step when it is given. The optional
+    to be symmetric and bilinear in (u, v). The solvers assemble
+    B = F''(x)[., d] from n such calls per step. The optional
     ``tridiagonal`` hook replaces both dense step systems by their
     premultiplied tridiagonal forms (see :class:`TridiagonalForm`); the
-    solvers then never call eval_jacobian, eval_second or
-    eval_second_matrix, and it needs dim >= 3. The max-norm (and its induced
-    matrix norm, the max absolute row sum) is the default because the
-    integral-equation bounds are stated in it.
+    solvers then never call eval_jacobian or eval_second, and it needs
+    dim >= 3. Norms are the max norm and the max absolute row sum.
     """
 
     dim: int
     eval_f: Callable[[np.ndarray], np.ndarray]
     eval_jacobian: Callable[[np.ndarray], np.ndarray]
     eval_second: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-    norm_kind: str = "max"
-    eval_second_matrix: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     tridiagonal: TridiagonalForm | None = None
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"dim must be at least 1, got {self.dim}")
-        if self.norm_kind not in _NORM_KINDS:
-            raise ValueError(
-                f"norm_kind must be one of {_NORM_KINDS}, got {self.norm_kind!r}")
         if self.tridiagonal is not None and self.dim < 3:
             raise ValueError(
                 f"a tridiagonal form needs dim >= 3, got {self.dim}")
 
-    def vector_norm(self, v: np.ndarray) -> float:
-        return vector_norm(v, self.norm_kind)
+    @staticmethod
+    def vector_norm(v: np.ndarray) -> float:
+        return vector_norm(v)
 
-    def matrix_norm(self, a: np.ndarray) -> float:
-        a = np.asarray(a, dtype=float)
-        if self.norm_kind == "max":
-            return float(np.max(np.sum(np.abs(a), axis=1)))
-        return float(np.linalg.norm(a, 2))
+    @staticmethod
+    def matrix_norm(a: np.ndarray) -> float:
+        """The max absolute row sum, the matrix norm the max norm induces."""
+        return float(np.max(np.sum(np.abs(np.asarray(a, dtype=float)), axis=1)))
 
 
 @dataclass
@@ -160,7 +145,8 @@ class SolveTrace:
     """Record of one solver run.
 
     residual_norms has one entry per iterate; step_norms and lf_norms have
-    one fewer (no step is taken from the final iterate).
+    one fewer (no step is taken from the final iterate). All are max norms,
+    and the JSON form says so as ``"norm_kind": "max"``.
     """
 
     iterates: list[np.ndarray]
@@ -169,7 +155,6 @@ class SolveTrace:
     lf_norms: list[float]
     stop_reason: str
     q_order_estimate: float | None = None
-    norm_kind: str = "max"
 
     @property
     def converged(self) -> bool:
@@ -183,11 +168,15 @@ class SolveTrace:
             "lf_norms": list(map(float, self.lf_norms)),
             "stop_reason": self.stop_reason,
             "q_order_estimate": self.q_order_estimate,
-            "norm_kind": self.norm_kind,
+            "norm_kind": "max",
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SolveTrace":
+        norm_kind = data.get("norm_kind", "max")
+        if norm_kind != "max":
+            raise ValueError(
+                f"a trace must be measured in the max norm, got {norm_kind!r}")
         return cls(
             iterates=[np.array(x, dtype=float) for x in data["iterates"]],
             residual_norms=[float(v) for v in data["residual_norms"]],
@@ -196,7 +185,6 @@ class SolveTrace:
             stop_reason=str(data["stop_reason"]),
             q_order_estimate=(None if data.get("q_order_estimate") is None
                               else float(data["q_order_estimate"])),
-            norm_kind=str(data.get("norm_kind", "max")),
         )
 
 
@@ -275,14 +263,11 @@ def _shaped(a, shape: tuple[int, int], name: str) -> np.ndarray:
 
 def _second_matrix(p: NonlinearProblem, x: np.ndarray, d: np.ndarray) -> np.ndarray:
     """A B with B = F''(x)[., d]: tridiagonal storage under the problem's
-    tridiagonal form, else the dense B from eval_second_matrix or, without
-    that hook, column by column from eval_second."""
+    tridiagonal form, else the dense B column by column from eval_second."""
     n = p.dim
     if p.tridiagonal is not None:
         return _shaped(p.tridiagonal.second_matrix(x, d), (3, n),
                        "tridiagonal.second_matrix")
-    if p.eval_second_matrix is not None:
-        return _shaped(p.eval_second_matrix(x, d), (n, n), "eval_second_matrix")
     second = np.empty((n, n), dtype=float)
     basis = np.eye(n)
     for j in range(n):
@@ -366,14 +351,14 @@ class _Step:
         return 0.5 * self.solve(_tridiagonal_dense(self.second) if self.banded
                                 else self.second)
 
-    def lf_norm(self, p: NonlinearProblem) -> float:
-        """|L_F| in the problem's norm: one more solve where
-        _one_solve_lf_norm proves it, else from the matrix."""
-        if self.banded and p.norm_kind == "max":
+    def lf_norm(self) -> float:
+        """|L_F|: one more solve where _one_solve_lf_norm proves it, else
+        from the matrix."""
+        if self.banded:
             norm = _one_solve_lf_norm(self.jac, self.second, self.solve)
             if norm is not None:
                 return norm
-        return p.matrix_norm(self.lf())
+        return NonlinearProblem.matrix_norm(self.lf())
 
     def halley(self) -> np.ndarray:
         """The Halley correction: (A F'(x) - A B / 2) y = A F(x), the same
@@ -392,8 +377,8 @@ def _correction(p: NonlinearProblem, x: np.ndarray, fx: np.ndarray,
     step = _Step(p, x, fx)
     if coeffs is None:
         correction = step.halley()
-        return correction, step.lf_norm(p)
-    lf_norm = step.lf_norm(p)
+        return correction, step.lf_norm()
+    lf_norm = step.lf_norm()
     if 2.0 * lf_norm > 0.5:
         raise LFNormExceededError(
             f"the series operator norm {2.0 * lf_norm:.6g} exceeds 1/2; "
@@ -507,7 +492,6 @@ def _solve_loop(p: NonlinearProblem, x0, tol: float, max_iters: int,
         step_norms=step_norms,
         lf_norms=lf_norms,
         stop_reason=stop_reason,
-        norm_kind=p.norm_kind,
     )
     trace.q_order_estimate = estimate_q_order(trace)
     return trace
@@ -545,9 +529,8 @@ def estimate_q_order(trace: SolveTrace) -> float | None:
     if len(xs) < 4:
         return None
     limit = xs[-1]
-    errors = [vector_norm(x - limit, trace.norm_kind) for x in xs[:-1]]
-    floor = 100.0 * np.finfo(float).eps * max(
-        1.0, vector_norm(limit, trace.norm_kind))
+    errors = [vector_norm(x - limit) for x in xs[:-1]]
+    floor = 100.0 * np.finfo(float).eps * max(1.0, vector_norm(limit))
     pairs = [(math.log(a), math.log(b))
              for a, b in zip(errors, errors[1:])
              if a > floor and b > floor]

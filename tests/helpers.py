@@ -91,7 +91,6 @@ def premultiplied(p: NonlinearProblem, m: np.ndarray) -> NonlinearProblem:
         eval_jacobian=lambda x: m @ np.asarray(p.eval_jacobian(x), dtype=float),
         eval_second=lambda x, u, v: m @ np.asarray(p.eval_second(x, u, v),
                                                    dtype=float),
-        norm_kind=p.norm_kind,
     )
 
 

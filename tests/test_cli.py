@@ -2,8 +2,10 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,7 @@ from halley_cert.cli import main
 
 TABLE_ARGS = ["certificate", "kantorovich",
               "--beta", "0.2", "--eta", "1.2", "--lip", "1.2"]
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, argv):
@@ -253,12 +256,34 @@ def test_format_env_override_and_flag_precedence(capsys, monkeypatch):
     assert rc4 == 0
 
 
+def run_module(argv):
+    """python -m halley_cert.cli in a fresh interpreter, with the package
+    source first on its path."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "halley_cert.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+
+
 def test_module_entry_point_subprocess():
-    proc = subprocess.run(
-        [sys.executable, "-m", "halley_cert.cli", "certificate", "smale",
-         "--beta", "0.1", "--gamma", "0.5", "--format", "json"],
-        capture_output=True, text=True)
+    proc = run_module(["certificate", "smale", "--beta", "0.1", "--gamma", "0.5",
+                       "--format", "json"])
     assert proc.returncode == 0
     data = json.loads(proc.stdout)
     assert data["verdict"] == "certified"
     assert data["t_star"] == pytest.approx(0.10592363464399475, abs=1e-14)
+
+
+@pytest.mark.parametrize("beta, eta, lip", [
+    # A1 fails: h''(0) = eta = 0
+    ("0.1", "0", "1"),
+    # the last float below the criterion bound: h'(t*) rounds to zero
+    ("0.34185937264581556", "1.2", "1.2"),
+])
+def test_typed_errors_exit_1_without_traceback(beta, eta, lip):
+    proc = run_module(["certificate", "kantorovich", "--beta", beta,
+                       "--eta", eta, "--lip", lip])
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr

@@ -24,7 +24,6 @@ from halley_cert import (
     halley_solve,
     halley_step,
     kantorovich_certificate,
-    lf_matrix,
     quadrature_weights,
     solve_and_check,
     table1,
@@ -142,31 +141,6 @@ def test_discretize_second_derivative_action():
     assert np.allclose(jac_diff @ v, p.eval_second(u, v, z), rtol=1e-6, atol=1e-7)
 
 
-box_vectors = st.lists(st.floats(-2.0, 2.0), min_size=40, max_size=40).map(np.array)
-
-
-@settings(max_examples=40, deadline=None)
-@given(lam=st.floats(-1.0, 1.0), power=st.sampled_from([2, 3, 4]),
-       n=st.integers(8, 40), u=st.lists(st.floats(0.5, 1.2), min_size=40,
-                                        max_size=40).map(np.array),
-       d=box_vectors, v=box_vectors)
-def test_second_matrix_hook_matches_second_derivative_action(lam, power, n, u, d, v):
-    # a subnormal lam leaves results with fewer significant bits than a
-    # relative 1e-14 asks for; the smallest normal float is the absolute floor
-    tiny = np.finfo(float).tiny
-    p = dataclasses.replace(discretize(HammersteinSpec(lam=lam, power=power, nodes=n)),
-                            tridiagonal=None)
-    u, d, v = u[:n], d[:n], v[:n]
-    b = p.eval_second_matrix(u, d)
-    assert b.shape == (n, n)
-    scale = np.max(np.abs(b) @ np.abs(v))
-    assert np.max(np.abs(b @ v - p.eval_second(u, v, d))) <= 1e-14 * scale + tiny
-    # L_F from the hook equals L_F assembled column by column
-    hook = lf_matrix(p, u)
-    columns = lf_matrix(dataclasses.replace(p, eval_second_matrix=None), u)
-    assert np.max(np.abs(hook - columns)) <= 1e-14 * np.max(np.abs(columns)) + tiny
-
-
 def test_discretized_solves_make_no_per_column_second_derivative_calls():
     p = discretize(HammersteinSpec(lam=1.0, nodes=32))
     calls = []
@@ -180,9 +154,9 @@ def test_discretized_solves_make_no_per_column_second_derivative_calls():
     assert halley_solve(counted, u0).converged
     assert family_solve(counted, u0, [0.5 ** k for k in range(8)]).converged
     assert calls == []
-    # without either hook the same problem falls back to one call per column
-    halley_step(dataclasses.replace(counted, eval_second_matrix=None,
-                                    tridiagonal=None), u0)
+    # without the tridiagonal form the same problem falls back to one call
+    # per column
+    halley_step(dataclasses.replace(counted, tridiagonal=None), u0)
     assert len(calls) == 32
 
 
@@ -193,7 +167,8 @@ def test_tridiagonal_form_is_the_laplacian_times_the_dense_system():
         tri = p.tridiagonal
         k = np.array([tri.apply(e) for e in np.eye(m)]).T
         # K W = M: tridiag(1, 4, 1)/6 inside, zero boundary rows
-        kw = k @ quadrature_weights(uniform_grid(m))
+        w = quadrature_weights(uniform_grid(m))
+        kw = k @ w
         mass = (4.0 * np.eye(m) + np.eye(m, k=1) + np.eye(m, k=-1)) / 6.0
         mass[[0, -1]] = 0.0
         assert np.max(np.abs(kw - mass)) <= 1e-11
@@ -201,7 +176,8 @@ def test_tridiagonal_form_is_the_laplacian_times_the_dense_system():
         d = rng.standard_normal(m)
         kj = k @ p.eval_jacobian(u)
         assert np.max(np.abs(band_matrix(tri.jacobian(u)) - kj)) <= 1e-13 * np.max(np.abs(kj))
-        kb = k @ p.eval_second_matrix(u, d)
+        # the dense B = F''(u)[., d] = -p (p - 1) lam W diag(u^(p-2) d)
+        kb = k @ (-power * (power - 1) * 0.9 * (w * (u ** (power - 2) * d)))
         assert np.max(np.abs(band_matrix(tri.second_matrix(u, d)) - kb)) <= (
             1e-12 * np.max(np.abs(kb)))
 
@@ -293,6 +269,8 @@ def _counting_weights():
 
 
 def test_dense_weights_are_built_once_and_only_for_matrices():
+    # the dense W is built once per Jacobian, kept by nobody, and never by
+    # F, the second-derivative action or a solve
     calls, patch = _counting_weights()
     with patch:
         p = discretize(HammersteinSpec(lam=1.0, nodes=16))
@@ -300,11 +278,13 @@ def test_dense_weights_are_built_once_and_only_for_matrices():
         p.eval_f(u)
         p.eval_second(u, u, u)
         halley_solve(p, u)
+        family_solve(p, u, [0.5 ** k for k in range(8)])
         assert calls == []
         p.eval_jacobian(u)
-        p.eval_second_matrix(u, u)
+        p.eval_jacobian(u)
+        assert calls == [16, 16]
         check_initial_conditions(p, u, CubicMajorant(0.2, 1.2, 1.2))
-    assert calls == [16]
+    assert calls == [16, 16, 16]
 
 
 def test_large_solves_hold_no_dense_matrix():

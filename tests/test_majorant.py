@@ -443,8 +443,8 @@ def test_majorizing_sequence_looks_up_t_star_once():
     hits = _cached_roots.cache_info().hits
     seq = majorizing_sequence(h, max_iters=20, tol=1e-15)
     assert len(seq.points) > 3
-    # one lookup in check_assumptions, one for the whole sequence
-    assert _cached_roots.cache_info().hits - hits == 2
+    # one lookup in check_assumptions, whose t* the whole sequence reuses
+    assert _cached_roots.cache_info().hits - hits == 1
     below_root = math.nextafter(seq.t_star, 0.0)
     for t, nxt in zip(seq.points, seq.points[1:]):
         assert nxt == min(halley_map(h, t), below_root)
