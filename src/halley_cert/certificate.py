@@ -343,7 +343,8 @@ def verify_error_bound(trace: SolveTrace,
 
     t_star = cert.t_star
     points = list(cert.sequence.points)
-    if len(points) < len(xs) and cert.majorant is not None:
+    # t* = 0 leaves every gap at 0, and h(0) = 0 fails A1, so no refresh
+    if len(points) < len(xs) and cert.majorant is not None and t_star > 0.0:
         refreshed = majorizing_sequence(cert.majorant, max_iters=len(xs) + 1,
                                         tol=1e-16)
         points = list(refreshed.points)

@@ -195,6 +195,16 @@ def _weights_times(grid: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     return times
 
 
+def _forcing_values(spec: HammersteinSpec, grid: np.ndarray) -> np.ndarray:
+    """f at the grid nodes, which is also the start point u_0 = f."""
+    if spec.forcing is None:
+        return np.ones(grid.size)
+    f_vec = np.array([float(spec.forcing(float(s))) for s in grid])
+    if not np.all(f_vec > 0.0):
+        raise ValueError("forcing must be positive on the grid")
+    return f_vec
+
+
 def discretize(spec: HammersteinSpec) -> NonlinearProblem:
     """Nystrom system for the spec: F_i(u) = u_i - f(s_i) - lam sum_j w_ij u_j^p.
 
@@ -206,12 +216,7 @@ def discretize(spec: HammersteinSpec) -> NonlinearProblem:
     of their own.
     """
     grid = uniform_grid(spec.nodes)
-    if spec.forcing is None:
-        f_vec = np.ones(spec.nodes)
-    else:
-        f_vec = np.array([float(spec.forcing(float(s))) for s in grid])
-        if not np.all(f_vec > 0.0):
-            raise ValueError("forcing must be positive on the grid")
+    f_vec = _forcing_values(spec, grid)
     lam = spec.lam
     p = spec.power
     w_times = _weights_times(grid)
@@ -368,11 +373,7 @@ def solve_and_check(spec: HammersteinSpec, tol: float = 1e-12,
     forcing 1); other specs solve without one.
     """
     problem = discretize(spec)
-    grid = uniform_grid(spec.nodes)
-    if spec.forcing is None:
-        u0 = np.ones(spec.nodes)
-    else:
-        u0 = np.array([float(spec.forcing(float(s))) for s in grid])
+    u0 = _forcing_values(spec, uniform_grid(spec.nodes))
 
     if coeffs is None:
         trace = halley_solve(problem, u0, tol=tol, max_iters=max_iters)

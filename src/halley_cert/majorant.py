@@ -13,6 +13,11 @@ The structural assumptions used throughout:
   A3: h has a zero in (0, R); at the smallest one, t*, the slope h'(t*) is
       strictly negative.
 
+Each question of the theory (the zeros t* and t**, A2, the Q-cubic rate
+constant) is one method of ``MajorantFunction``, answered numerically for
+any h; the cubic and rational majorants override the first two with closed
+forms.
+
 The cubic majorant is solved in scale-free form: its slope h' has one
 positive zero r1, and t = r1 tau gives h(t) = r1 g(tau) with g(tau) = b -
 tau + a tau^2 + c tau^3, b = beta/r1, a = eta r1/2 and c = lip r1^2/6, where
@@ -72,11 +77,16 @@ _ROOTS_CACHE_SIZE = 1024
 
 
 class MajorantFunction:
-    """Interface for a scalar majorizing function on [0, R).
+    """A scalar majorizing function h on [0, R) and the three questions the
+    semilocal theorem asks of it.
 
-    Subclasses provide ``value``, ``deriv`` and ``second_deriv``. The left
-    derivative of h'' defaults to the exact third derivative when one is
-    available and to a backward difference otherwise.
+    Subclasses provide h, h', h'' and ``third_deriv``, the left derivative
+    of h''. Each question is one method whose body here is the generic
+    numeric answer: ``roots`` brackets and bisects for t* and t**,
+    ``a2_holds`` samples h'' on a grid, and ``rate_constant`` evaluates the
+    paper's formula at t*. ``CubicMajorant`` and ``SmaleMajorant`` override
+    the first two with closed forms; the rate constant has one body for
+    every h.
     """
 
     @property
@@ -93,36 +103,76 @@ class MajorantFunction:
     def second_deriv(self, t: float) -> float:
         raise NotImplementedError
 
-    def third_deriv(self, t: float) -> float | None:
-        """Exact h'''(t) when the concrete type has one, else None."""
-        return None
+    def third_deriv(self, t: float) -> float:
+        """Left derivative of h'' at t: the third derivative where h has one."""
+        raise NotImplementedError
 
-    def second_deriv_left(self, t: float) -> float:
-        """Left derivative of h'' at t.
+    def roots(self) -> tuple[float, float]:
+        """(t*, t**): the smallest zero of h and the uniqueness radius
+        sup {t in [t*, R): h(t) <= 0}, which is R itself where h stays
+        nonpositive up to R.
 
-        For twice-plus differentiable majorants this is just h'''(t). The
-        fallback is a one-sided difference with step 1e-6 * max(1, t).
+        Brackets t* by a geometric scan toward the minimum of h and t** by
+        doubling strides up from t*, then bisects and polishes. Raises
+        NoRootError where h has no zero, which is exactly the failure of the
+        convergence criterion.
         """
-        third = self.third_deriv(t)
-        if third is not None:
-            return third
-        step = 1e-6 * max(1.0, t)
-        if t - step <= 0.0:
-            return (self.second_deriv(t + step) - self.second_deriv(t)) / step
-        return (self.second_deriv(t) - self.second_deriv(t - step)) / step
+        t_star = _generic_smallest_root(self)
+        return t_star, _generic_uniqueness_radius(self, t_star)
 
-    def closed_form_roots(self) -> tuple[float, float] | None:
-        """(t*, t**) when the type admits a closed form, else None."""
-        return None
+    def a2_holds(self, t_star: float | None, notes: list[str]) -> bool:
+        """Whether A2 holds; appends to ``notes`` why not.
 
-    def rate_constant(self) -> float | None:
-        """Closed-form Q-cubic rate constant when available, else None."""
-        return None
+        Tests monotonicity and midpoint convexity of h'' on a uniform grid
+        of 64 points over [0, min(R, T)], where T is twice the minimum of h,
+        or twice t* when the minimum is out of reach, or else 1.
+        """
+        t_min = _locate_minimum(self)
+        if t_min is not None:
+            extent = 2.0 * t_min
+        elif t_star is not None and t_star > 0.0:
+            extent = 2.0 * t_star
+        else:
+            extent = 1.0
+        bound = self.domain_bound
+        if math.isfinite(bound):
+            extent = min(extent, bound * (1.0 - 1e-9))
 
-    def closed_form_a2(self) -> bool | None:
-        """Whether A2 holds, when the type's validated parameters decide it,
-        else None, and ``check_assumptions`` samples h'' on a grid."""
-        return None
+        ok = True
+        try:
+            grid = np.linspace(0.0, extent, _A2_GRID_SIZE)
+            vals = np.array([self.second_deriv(float(t)) for t in grid])
+            scale = max(1.0, float(np.max(np.abs(vals))))
+            diffs = np.diff(vals)
+            if not (np.all(diffs > -1e-12 * scale) and vals[-1] > vals[0]):
+                ok = False
+                notes.append("h'' is not strictly increasing on the sample grid")
+            mid_excess = vals[1:-1] - 0.5 * (vals[:-2] + vals[2:])
+            if not np.all(mid_excess <= 1e-12 * scale):
+                ok = False
+                notes.append("h'' fails midpoint convexity on the sample grid")
+        except Exception as exc:  # diagnostic, not a crash
+            ok = False
+            notes.append(f"h'' evaluation failed on [0, {extent:.6g}]: {exc}")
+        return ok
+
+    def rate_constant(self) -> float:
+        """The Q-cubic rate constant C, with t* - t_{k+1} <= C (t* - t_k)^3.
+
+        C = (1/3) (h''(t*) / h'(t*))^2 + (2/9) D-h''(t*) / (-h'(t*)), where
+        D-h'' is the left derivative of h'' (``third_deriv``). It is written
+        with products, not powers, so it is +inf where C exceeds the float
+        range. Raises DegenerateRootError at the criterion boundary, where
+        h'(t*) vanishes.
+        """
+        t_star = smallest_root(self)
+        slope = self.deriv(t_star)
+        if slope >= -_SLOPE_FLOOR:
+            raise DegenerateRootError(
+                f"h'(t*) = {slope:.6g} is not strictly negative; the rate constant "
+                "degenerates at the criterion boundary")
+        ratio = self.second_deriv(t_star) / slope
+        return ratio * (ratio / 3.0) + (2.0 / 9.0) * self.third_deriv(t_star) / (-slope)
 
 
 @dataclass(frozen=True)
@@ -159,7 +209,7 @@ class CubicMajorant(MajorantFunction):
     def third_deriv(self, t: float) -> float:
         return self.lip
 
-    def closed_form_a2(self) -> bool:
+    def a2_holds(self, t_star: float | None, notes: list[str]) -> bool:
         """h'' = eta + lip t is affine, so convex, and lip > 0 makes it
         strictly increasing."""
         return True
@@ -201,35 +251,20 @@ class CubicMajorant(MajorantFunction):
         half_s = math.hypot(0.5 * self.eta, root)
         return half_s, 0.5 * self.eta + half_s
 
-    def closed_form_roots(self) -> tuple[float, float] | None:
+    def roots(self) -> tuple[float, float]:
         # the zeros of the scale-free cubic g (module docstring), in units of r1
         r1 = self.slope_root()
         b, a, c = self.beta / r1, 0.5 * self.eta * r1, self.lip * r1 * r1 / 6.0
         g_min = b - 1.0 + a + c
         if g_min > _MERGE_TOL:
-            return None
+            raise NoRootError(
+                f"h stays positive: its minimum is r1 g(1) with g(1) = {g_min:.6g}; "
+                "the convergence criterion fails")
         if g_min >= -_MERGE_TOL:
             # the criterion boundary: the zeros merge at r1 within rounding
             return _signed_pair(self, r1, r1)
         return _signed_pair(self, _newton_polish(self, r1 * _scale_free_root(b, a, c, 0.0)),
                             _newton_polish(self, r1 * _scale_free_root(b, a, c, 4.0)))
-
-    def rate_constant(self) -> float:
-        ts = smallest_root(self)
-        denom = 1.0 - self.eta * ts - 0.5 * self.lip * ts * ts
-        if denom <= _SLOPE_FLOOR:
-            raise DegenerateRootError(
-                f"slope at t*={ts} is {-denom}, too close to zero for a rate constant")
-        try:
-            num = 3.0 * (self.eta + self.lip * ts) ** 2 + 2.0 * self.lip * denom
-        except OverflowError:
-            num = math.inf
-        if num < math.inf:
-            return num / (9.0 * denom * denom)
-        # the same without the square: inf only where the constant itself
-        # exceeds the float range
-        a = (self.eta + self.lip * ts) / (math.sqrt(3.0) * denom)
-        return a * a + 2.0 * self.lip / (9.0 * denom)
 
 
 @dataclass(frozen=True)
@@ -267,9 +302,10 @@ class SmaleMajorant(MajorantFunction):
         return 2.0 * self.gamma / (1.0 - self.gamma * t) ** 3
 
     def third_deriv(self, t: float) -> float:
-        return 6.0 * self.gamma ** 2 / (1.0 - self.gamma * t) ** 4
+        # gamma gamma: the product overflows to inf, where gamma ** 2 raises
+        return 6.0 * self.gamma * self.gamma / (1.0 - self.gamma * t) ** 4
 
-    def closed_form_a2(self) -> bool:
+    def a2_holds(self, t_star: float | None, notes: list[str]) -> bool:
         """h'' = 2 gamma / (1 - gamma t)^3 with gamma > 0 is a positive
         power of 1 / (1 - gamma t), which is convex and increasing on
         [0, 1/gamma), so h'' is convex and strictly increasing."""
@@ -279,30 +315,27 @@ class SmaleMajorant(MajorantFunction):
         """Criterion threshold for alpha = beta * gamma."""
         return SMALE_CRITERION_BOUND
 
-    def closed_form_roots(self) -> tuple[float, float] | None:
+    def roots(self) -> tuple[float, float]:
         a = self.alpha
         disc = (1.0 + a) ** 2 - 8.0 * a
         if disc <= -64.0 * _EPS * (1.0 + a) ** 2:
-            return None
+            raise NoRootError(
+                f"h stays positive: alpha = {a:.6g} is past 3 - 2 sqrt(2); "
+                "the convergence criterion fails")
         # a slightly negative disc is rounding at the criterion boundary,
         # where the two roots collide into a double root
         s = math.sqrt(max(disc, 0.0))
         return _signed_pair(self, (1.0 + a - s) / (4.0 * self.gamma),
                             (1.0 + a + s) / (4.0 * self.gamma))
 
-    def rate_constant(self) -> float:
-        ts = smallest_root(self)
-        q = 1.0 - self.gamma * ts
-        denom = 2.0 * q * q - 1.0
-        if denom <= _SLOPE_FLOOR:
-            raise DegenerateRootError(
-                f"slope at t*={ts} is {-denom / (q * q)}, too close to zero for a rate constant")
-        return 8.0 * self.gamma ** 2 / (3.0 * denom * denom)
-
 
 @dataclass(frozen=True)
 class CallableMajorant(MajorantFunction):
-    """Majorant assembled from user-supplied evaluation rules."""
+    """Majorant assembled from user-supplied evaluation rules.
+
+    ``third_deriv_fn`` is the left derivative of h''; without it the
+    majorant has no rate constant.
+    """
 
     value_fn: Callable[[float], float]
     deriv_fn: Callable[[float], float]
@@ -323,9 +356,10 @@ class CallableMajorant(MajorantFunction):
     def second_deriv(self, t: float) -> float:
         return float(self.second_deriv_fn(t))
 
-    def third_deriv(self, t: float) -> float | None:
+    def third_deriv(self, t: float) -> float:
         if self.third_deriv_fn is None:
-            return None
+            raise NotImplementedError(
+                "no third_deriv_fn: the rate constant needs the left derivative of h''")
         return float(self.third_deriv_fn(t))
 
 
@@ -380,8 +414,8 @@ def _scale_free_root(b: float, a: float, c: float, tau: float) -> float:
     return tau
 
 
-def _newton_polish(h: MajorantFunction, t: float, steps: int = 3) -> float:
-    for _ in range(steps):
+def _newton_polish(h: MajorantFunction, t: float) -> float:
+    for _ in range(3):
         slope = h.deriv(t)
         if abs(slope) < 1e-300:
             break
@@ -518,43 +552,14 @@ def _generic_smallest_root(h: MajorantFunction) -> float:
     return _nudge_down(h, t, lambda v: v >= 0.0)
 
 
-@lru_cache(maxsize=_ROOTS_CACHE_SIZE)
-def _cached_roots(h: MajorantFunction) -> tuple[float, float | None]:
-    closed = h.closed_form_roots()
-    if closed is not None:
-        return (closed[0], closed[1])
-    return (_generic_smallest_root(h), None)
-
-
-def smallest_root(h: MajorantFunction) -> float:
-    """Smallest t in [0, R) with h(t) = 0, to residual 1e-14 * max(1, h(0)).
-
-    Uses the closed form when the concrete type provides one, otherwise
-    brackets by a geometric scan toward the minimum of h and bisects, with a
-    short Newton polish. Raises NoRootError when h never crosses zero, which
-    is exactly the failure of the convergence criterion.
-    """
-    return _cached_roots(h)[0]
-
-
-def uniqueness_radius(h: MajorantFunction) -> float:
-    """sup of the set {t in [t*, R): h(t) <= 0}, the uniqueness radius.
-
-    For both concrete majorants this is the second zero t**. If h stays
-    nonpositive all the way to a finite R, R itself is returned and a warning
-    notes that the supremum is not attained.
-    """
-    t_star, second = _cached_roots(h)
-    if second is not None:
-        return second
+def _generic_uniqueness_radius(h: MajorantFunction, t_star: float) -> float:
+    """sup {t in [t*, R): h(t) <= 0} by expanding from t* until h is
+    positive, then bisecting back; R where h stays nonpositive to the edge."""
     edge = _far_edge(h)
     if h.value(edge) <= 0.0:
-        warnings.warn("h never returns to positive values before the domain edge; "
-                      "reporting the edge, the supremum is not attained", RuntimeWarning)
         return h.domain_bound
     lo = t_star
     hi = edge
-    # Expand from t* until h is positive, then bisect back.
     width = max(t_star, 1.0) * 1e-6
     probe = t_star
     for _ in range(200):
@@ -576,6 +581,34 @@ def uniqueness_radius(h: MajorantFunction) -> float:
             hi = mid
     t = _newton_polish(h, 0.5 * (lo + hi))
     return _nudge_down(h, t, lambda v: v <= 0.0)
+
+
+@lru_cache(maxsize=_ROOTS_CACHE_SIZE)
+def _cached_roots(h: MajorantFunction) -> tuple[float, float]:
+    return h.roots()
+
+
+def smallest_root(h: MajorantFunction) -> float:
+    """Smallest t in [0, R) with h(t) = 0, to residual 1e-14 * max(1, h(0)).
+
+    The first of ``h.roots()``, cached. Raises NoRootError when h never
+    crosses zero, which is exactly the failure of the convergence criterion.
+    """
+    return _cached_roots(h)[0]
+
+
+def uniqueness_radius(h: MajorantFunction) -> float:
+    """sup of the set {t in [t*, R): h(t) <= 0}, the uniqueness radius.
+
+    For both concrete majorants this is the second zero t**. If h stays
+    nonpositive all the way to R, R itself is returned and a warning notes
+    that the supremum is not attained.
+    """
+    radius = _cached_roots(h)[1]
+    if radius == h.domain_bound:
+        warnings.warn("h never returns to positive values before the domain edge; "
+                      "reporting the edge, the supremum is not attained", RuntimeWarning)
+    return radius
 
 
 # ---------------------------------------------------------------------------
@@ -615,49 +648,14 @@ def _halley_step(h: MajorantFunction, t: float, t_star: float) -> float:
     return t - value / ((1.0 - ratio) * slope)
 
 
-def _sampled_a2(h: MajorantFunction, t_star: float | None, notes: list[str]) -> bool:
-    """A2 by monotonicity and midpoint convexity of h'' on a uniform grid."""
-    t_min = _locate_minimum(h)
-    if t_min is not None:
-        extent = 2.0 * t_min
-    elif t_star is not None and t_star > 0.0:
-        extent = 2.0 * t_star
-    else:
-        extent = 1.0
-    bound = h.domain_bound
-    if math.isfinite(bound):
-        extent = min(extent, bound * (1.0 - 1e-9))
-
-    ok = True
-    try:
-        grid = np.linspace(0.0, extent, _A2_GRID_SIZE)
-        vals = np.array([h.second_deriv(float(t)) for t in grid])
-        scale = max(1.0, float(np.max(np.abs(vals))))
-        diffs = np.diff(vals)
-        if not (np.all(diffs > -1e-12 * scale) and vals[-1] > vals[0]):
-            ok = False
-            notes.append("h'' is not strictly increasing on the sample grid")
-        mid_excess = vals[1:-1] - 0.5 * (vals[:-2] + vals[2:])
-        if not np.all(mid_excess <= 1e-12 * scale):
-            ok = False
-            notes.append("h'' fails midpoint convexity on the sample grid")
-    except Exception as exc:  # diagnostic, not a crash
-        ok = False
-        notes.append(f"h'' evaluation failed on [0, {extent:.6g}]: {exc}")
-    return ok
-
-
 def check_assumptions(h: MajorantFunction) -> AssumptionReport:
     """Check A1 exactly at 0, A2 in closed form or on a grid, A3 via root
     finding.
 
-    A2 is the answer of ``h.closed_form_a2()`` when the type has one, as
-    ``CubicMajorant`` and ``SmaleMajorant`` do: their validated parameters
-    prove it. Otherwise it is tested by monotonicity and midpoint convexity
-    of h'' on a uniform grid of 64 points over [0, min(R, T)],
-    where T is twice the minimum of h (or twice t* when the minimum is out
-    of reach). The criterion boundary, where h'(t*) = 0, is reported as a
-    failure of A3.
+    A2 is ``h.a2_holds``: proven by the validated parameters of
+    ``CubicMajorant`` and ``SmaleMajorant``, sampled on a grid otherwise.
+    The criterion boundary, where h'(t*) = 0, is reported as a failure of
+    A3.
     """
     notes: list[str] = []
 
@@ -701,11 +699,7 @@ def check_assumptions(h: MajorantFunction) -> AssumptionReport:
         notes.append(f"h'(t*) = {slope:.6g} is not strictly negative "
                      "(criterion boundary)")
 
-    a2 = h.closed_form_a2()
-    if a2 is None:
-        a2 = _sampled_a2(h, t_star, notes)
-    elif not a2:
-        notes.append("h'' is not convex and strictly increasing")
+    a2 = h.a2_holds(t_star, notes)
 
     return AssumptionReport(
         a1_holds=a1,
@@ -761,18 +755,5 @@ def majorizing_sequence(h: MajorantFunction, max_iters: int = 25,
 
 
 def cubic_error_constant(h: MajorantFunction) -> float:
-    """Generic Q-cubic rate constant at t*.
-
-    Evaluates (1/3) (h''(t*)/h'(t*))^2 + (2/9) D-h''(t*) / (-h'(t*)) where
-    D- is the left derivative of h''. Concrete majorants also carry a closed
-    form (``rate_constant``); the two agree to rounding.
-    """
-    t_star = smallest_root(h)
-    slope = h.deriv(t_star)
-    if slope >= -_SLOPE_FLOOR:
-        raise DegenerateRootError(
-            f"h'(t*) = {slope:.6g} is not strictly negative; the rate constant "
-            "degenerates at the criterion boundary")
-    curvature = h.second_deriv(t_star)
-    left_third = h.second_deriv_left(t_star)
-    return (curvature / slope) ** 2 / 3.0 + (2.0 / 9.0) * left_third / (-slope)
+    """The Q-cubic rate constant of h at t*: ``h.rate_constant()``."""
+    return h.rate_constant()

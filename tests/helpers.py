@@ -2,8 +2,10 @@
 
 The bisection oracle here deliberately avoids every closed form in the
 package; it only evaluates h and h' and halves intervals, so agreement with
-the library's root finders is a real cross-check. Likewise the kernel
-integrals come from Gauss panels, not from the closed-form weights.
+the library's root finders is a real cross-check. The closed-form rate
+constants check the package's one generic rate formula the same way, and
+the kernel integrals come from Gauss panels, not from the closed-form
+weights.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from halley_cert import (
     SmaleMajorant,
     green_kernel,
     lf_matrix,
+    smallest_root,
 )
 
 SMALE_BOUND = 3.0 - 2.0 * math.sqrt(2.0)
@@ -106,6 +109,23 @@ def random_certified_smale(rng) -> SmaleMajorant:
     gamma = float(10.0 ** rng.uniform(-1.3, 1.3))
     alpha = float(rng.uniform(0.05, 0.95)) * SMALE_BOUND
     return SmaleMajorant(alpha / gamma, gamma)
+
+
+def closed_form_rate_constant(h) -> float:
+    """The Q-cubic rate constant of a certified cubic or Smale majorant in
+    its own closed form, an oracle for the one generic formula.
+
+    Cubic: (3 (eta + lip t*)^2 + 2 lip d) / (9 d^2) with d = -h'(t*).
+    Smale: 8 gamma^2 / (3 (2 q^2 - 1)^2) with q = 1 - gamma t*.
+    """
+    t_star = smallest_root(h)
+    if isinstance(h, SmaleMajorant):
+        q = 1.0 - h.gamma * t_star
+        denom = 2.0 * q * q - 1.0
+        return 8.0 * h.gamma ** 2 / (3.0 * denom * denom)
+    denom = 1.0 - h.eta * t_star - 0.5 * h.lip * t_star * t_star
+    num = 3.0 * (h.eta + h.lip * t_star) ** 2 + 2.0 * h.lip * denom
+    return num / (9.0 * denom * denom)
 
 
 def bisect_zero(fn: Callable[[float], float], lo: float, hi: float) -> float:

@@ -13,6 +13,7 @@ from halley_cert import (
     KantorovichInputs,
     SMALE_CRITERION_BOUND,
     SmaleInputs,
+    SolveTrace,
     check_initial_conditions,
     halley_solve,
     kantorovich_certificate,
@@ -314,6 +315,18 @@ def test_verify_error_bound_vacuous_cases():
     assert noisy.all_ok
     assert len(noisy.checks) == 1 and noisy.checks[0].vacuous
     assert 0.0 < noisy.checks[0].error <= 1e-13
+
+
+def test_verify_error_bound_on_a_zero_beta_certificate():
+    # t* = 0: the sequence is the origin alone and every gap is 0, so a
+    # longer trace needs no refresh from a majorant that fails A1
+    cert = kantorovich_certificate(KantorovichInputs(0.0, 1.2, 1.2))
+    trace = SolveTrace(iterates=[np.zeros(2), np.zeros(2)], residual_norms=[0.0, 0.0],
+                       step_norms=[0.0], lf_norms=[0.0], stop_reason="step_below_tol")
+    report = verify_error_bound(trace, cert)
+    assert report.all_ok
+    assert len(report.checks) == 1
+    assert report.checks[0].vacuous and report.checks[0].gap == 0.0
 
 
 def test_verify_error_bound_rejects_bad_inputs():

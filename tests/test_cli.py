@@ -287,3 +287,15 @@ def test_typed_errors_exit_1_without_traceback(beta, eta, lip):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+def test_rate_constant_past_the_float_range_prints_infinity():
+    # gamma^2 = 1e400 leaves the floats, so the rate constant is +inf
+    proc = run_module(["certificate", "smale", "--beta", "1e-201", "--gamma", "1e200",
+                       "--format", "json"])
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert '"rate_constant": Infinity' in proc.stdout
+    data = json.loads(proc.stdout)
+    assert data["verdict"] == "certified"
+    assert data["rate_constant"] == math.inf

@@ -31,7 +31,13 @@ from halley_cert import (
 )
 from halley_cert import majorant
 from halley_cert.majorant import _cached_roots, _nudge_down
-from helpers import SMALE_BOUND, oracle_roots, random_certified_cubic, random_certified_smale
+from helpers import (
+    SMALE_BOUND,
+    closed_form_rate_constant,
+    oracle_roots,
+    random_certified_cubic,
+    random_certified_smale,
+)
 
 TABLE_CUBIC = CubicMajorant(0.2, 1.2, 1.2)
 TABLE_SMALE = SmaleMajorant(0.1, 0.5)
@@ -89,7 +95,7 @@ def test_slope_root_is_critical_point():
 
 def test_cubic_closed_roots_table_row():
     """The lam = 1 cubic factors as 0.2 (t - 1)(t^2 + 4t - 1)."""
-    t_star, t_outer = TABLE_CUBIC.closed_form_roots()
+    t_star, t_outer = TABLE_CUBIC.roots()
     assert t_star == pytest.approx(math.sqrt(5.0) - 2.0, abs=1e-14)
     assert t_outer == pytest.approx(1.0, abs=1e-14)
     assert TABLE_CUBIC.value(t_star) >= 0.0
@@ -98,7 +104,7 @@ def test_cubic_closed_roots_table_row():
 
 
 def test_smale_closed_roots_frozen():
-    t_star, t_outer = TABLE_SMALE.closed_form_roots()
+    t_star, t_outer = TABLE_SMALE.roots()
     assert t_star == pytest.approx(0.10592363464399479, abs=1e-14)
     assert t_outer == pytest.approx(0.9440763653560053, abs=1e-13)
 
@@ -106,9 +112,7 @@ def test_smale_closed_roots_frozen():
 def test_smale_double_root_at_boundary():
     gamma = 0.7
     h = SmaleMajorant(SMALE_BOUND / gamma, gamma)
-    roots = h.closed_form_roots()
-    assert roots is not None
-    t_star, t_outer = roots
+    t_star, t_outer = h.roots()
     expected = (1.0 + SMALE_BOUND) / (4.0 * gamma)
     # the discriminant sits at rounding scale, so the colliding roots can
     # split by sqrt(eps) relative
@@ -121,7 +125,7 @@ def test_roots_keep_their_sign_where_the_majorant_is_flat():
     # h' is 5e-4 at t**, so the float closed form sits about 5,000 floats
     # above the last float with h <= 0, beyond a float-by-float walk
     h = SmaleMajorant(beta=0.2612764718455344, gamma=0.6566716579716894)
-    t_star, t_outer = h.closed_form_roots()
+    t_star, t_outer = h.roots()
     assert h.value(t_star) >= 0.0
     assert h.value(t_outer) <= 0.0
     assert h.value(math.nextafter(t_outer, 1.0)) > 0.0
@@ -202,14 +206,14 @@ def test_criterion_bound_where_the_slope_square_is_subnormal():
 def test_cubic_roots_merge_at_the_criterion_boundary():
     h = CubicMajorant(TABLE_CUBIC.criterion_bound(), 1.2, 1.2)
     # g(1) is within rounding of 0: both zeros sit at the minimum r1
-    assert h.closed_form_roots() == (h.slope_root(), h.slope_root())
+    assert h.roots() == (h.slope_root(), h.slope_root())
     with pytest.raises(NoRootError):
         smallest_root(CubicMajorant(h.beta * (1.0 + 1e-12), 1.2, 1.2))
 
 
 def test_smale_beta_zero():
     h = SmaleMajorant(0.0, 2.0)
-    t_star, t_outer = h.closed_form_roots()
+    t_star, t_outer = h.roots()
     assert t_star == 0.0
     assert t_outer == pytest.approx(0.25, abs=1e-15)
 
@@ -382,7 +386,8 @@ def test_closed_form_a2_agrees_with_the_grid(h):
     grid = check_assumptions(CallableMajorant(
         value_fn=h.value, deriv_fn=h.deriv, second_deriv_fn=h.second_deriv,
         bound=h.domain_bound))
-    assert h.closed_form_a2() is True
+    notes = []
+    assert h.a2_holds(fast.t_star, notes) is True and notes == []
     assert fast.all_hold
     assert (grid.a1_holds, grid.a3_holds) == (fast.a1_holds, fast.a3_holds)
     # t* of the callable majorant is bracketed, not taken from the closed
@@ -498,9 +503,52 @@ def test_generic_rate_equals_closed_forms():
     rng = np.random.default_rng(17)
     for _ in range(25):
         h = random_certified_cubic(rng)
-        assert cubic_error_constant(h) == pytest.approx(h.rate_constant(), rel=1e-12)
+        assert h.rate_constant() == pytest.approx(closed_form_rate_constant(h), rel=1e-12)
         g = random_certified_smale(rng)
-        assert cubic_error_constant(g) == pytest.approx(g.rate_constant(), rel=1e-12)
+        assert g.rate_constant() == pytest.approx(closed_form_rate_constant(g), rel=1e-12)
+
+
+def test_rate_constant_past_the_float_range_is_infinite():
+    # h''(t*)^2 and gamma^2 leave the float range here; C does too
+    for h in (CubicMajorant(1e-203, 1e200, 1.0), SmaleMajorant(1e-201, 1e200)):
+        assert h.rate_constant() == math.inf
+        assert cubic_error_constant(h) == math.inf
+
+
+@settings(max_examples=300, deadline=None)
+@given(log_eta=st.floats(-300.0, 300.0), log_lip=st.floats(-300.0, 300.0),
+       log_gamma=st.floats(-150.0, 300.0), log_share=st.floats(-30.0, math.log10(0.999)),
+       cubic=st.booleans())
+def test_rate_constant_is_positive_or_infinite(log_eta, log_lip, log_gamma, log_share, cubic):
+    # gamma >= 1e-150 keeps gamma^2, and with it C, above the float range's floor
+    share = 10.0 ** log_share
+    if cubic:
+        eta, lip = 10.0 ** log_eta, 10.0 ** log_lip
+        h = CubicMajorant(CubicMajorant(0.0, eta, lip).criterion_bound() * share, eta, lip)
+    else:
+        gamma = 10.0 ** log_gamma
+        h = SmaleMajorant(SMALE_BOUND * share / gamma, gamma)
+    try:
+        rate = h.rate_constant()
+    except DegenerateRootError:
+        return
+    assert isinstance(rate, float)
+    assert rate > 0.0
+
+
+def test_majorants_past_the_criterion_raise_without_a_search(monkeypatch):
+    def no_search(h):
+        raise AssertionError("a generic root search ran")
+
+    monkeypatch.setattr(majorant, "_locate_minimum", no_search)
+    monkeypatch.setattr(majorant, "_generic_smallest_root", no_search)
+    for h in (CubicMajorant(0.4, 1.2, 1.2), CubicMajorant(1e-60, 1e60, 1e-300),
+              SmaleMajorant(1.0, 1.0), SmaleMajorant(SMALE_BOUND * 1.001 / 3e-7, 3e-7)):
+        with pytest.raises(NoRootError):
+            h.roots()
+        with pytest.raises(NoRootError):
+            smallest_root(h)
+        assert not check_assumptions(h).a3_holds
 
 
 def test_gap_recursion_against_rate_constant():
@@ -535,13 +583,16 @@ def test_second_deriv_increment_matches_integrated_third():
         assert integral == pytest.approx(h.second_deriv(b) - h.second_deriv(a), rel=1e-9)
 
 
-def test_callable_majorant_backward_difference_fallback():
-    # no third derivative available: the left second derivative comes from a
-    # backward difference and only needs test-grade accuracy
-    h = CallableMajorant(
-        value_fn=TABLE_CUBIC.value,
-        deriv_fn=TABLE_CUBIC.deriv,
-        second_deriv_fn=TABLE_CUBIC.second_deriv,
-    )
-    assert h.third_deriv(0.1) is None
-    assert h.second_deriv_left(0.1) == pytest.approx(1.2, rel=1e-5)
+def test_callable_majorant_needs_a_third_derivative_for_a_rate_constant():
+    # the left derivative of h'' comes from third_deriv_fn only: no rate
+    # constant without it, the same constant with it
+    parts = dict(value_fn=TABLE_CUBIC.value, deriv_fn=TABLE_CUBIC.deriv,
+                 second_deriv_fn=TABLE_CUBIC.second_deriv)
+    h = CallableMajorant(**parts)
+    assert check_assumptions(h).all_hold
+    with pytest.raises(NotImplementedError, match="third_deriv_fn"):
+        h.third_deriv(0.1)
+    with pytest.raises(NotImplementedError, match="third_deriv_fn"):
+        h.rate_constant()
+    full = CallableMajorant(**parts, third_deriv_fn=TABLE_CUBIC.third_deriv)
+    assert full.rate_constant() == pytest.approx(TABLE_CUBIC.rate_constant(), rel=1e-12)

@@ -19,13 +19,28 @@ def test_exports_are_the_union_of_the_submodules():
         assert getattr(halley_cert, name) is not None
 
 
+# Installs the bench wrappers and runs one certificate of each kind under
+# them. rate_constant is inherited by both majorants and wrapped on each
+# subclass, so each certificate must record its own span.
+_TRACED_CERTIFICATES = """
+import tracing
+from halley_cert import certificate
+tracer = tracing.Tracer()
+tracing.install(tracer)
+tracer.active = True
+certificate.kantorovich_certificate(certificate.KantorovichInputs(0.2, 1.2, 1.2))
+certificate.smale_certificate(certificate.SmaleInputs(0.1, 0.5))
+names = [rec[3] for rec in tracer.spans]
+assert names.count("majorant.rate_constant") == 2, names
+"""
+
+
 def test_bench_wrappers_find_their_targets():
     # the benchmark wraps library names by attribute; a renamed or deleted
     # target fails here instead of reading as a zero-cost layer
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src"), str(ROOT / "bench")]))
     run = subprocess.run(
-        [sys.executable, "-c",
-         "import tracing; tracing.install(tracing.Tracer())"],
+        [sys.executable, "-c", _TRACED_CERTIFICATES],
         env=env, cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
