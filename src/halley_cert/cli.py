@@ -18,15 +18,15 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 import numpy as np
 
-from ._format import float_text
+from ._format import float_text, floats_text
 from .certificate import (
     KantorovichInputs,
     SmaleInputs,
@@ -73,16 +73,18 @@ def _render_json(value) -> str:
             return "Infinity" if x > 0 else "-Infinity"
         return float_text(x)
     if isinstance(value, str):
-        return json.dumps(value)
+        # what json.dumps writes for a str under its defaults
+        return encode_basestring_ascii(value)
     if isinstance(value, dict):
         body = ", ".join(
-            f"{json.dumps(str(k))}: {_render_json(v)}" for k, v in value.items())
+            f"{encode_basestring_ascii(str(k))}: {_render_json(v)}"
+            for k, v in value.items())
         return "{" + body + "}"
     if isinstance(value, (list, tuple)):
         # a list of finite floats, such as an iterate, skips the per-item
         # dispatch; a sum that is not finite sends it down the general path
         if set(map(type, value)) == {float} and math.isfinite(sum(value)):
-            return "[" + ", ".join(map(float_text, value)) + "]"
+            return "[" + floats_text(value) + "]"
         return "[" + ", ".join(map(_render_json, value)) + "]"
     raise TypeError(f"cannot render {type(value).__name__} as json")
 
@@ -302,9 +304,8 @@ def cmd_solve(args) -> int:
     except ValueError as exc:
         raise _UsageError(str(exc))
 
-    data = _report_dict(report)
     if fmt == "json":
-        print(_render_json(data))
+        print(_render_json(_report_dict(report)))
     elif fmt == "csv":
         trace = report.trace
         header = ("converged", "stop_reason", "iterations", "final_residual",

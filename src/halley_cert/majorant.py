@@ -325,8 +325,14 @@ class SmaleMajorant(MajorantFunction):
         # a slightly negative disc is rounding at the criterion boundary,
         # where the two roots collide into a double root
         s = math.sqrt(max(disc, 0.0))
-        return _signed_pair(self, (1.0 + a - s) / (4.0 * self.gamma),
-                            (1.0 + a + s) / (4.0 * self.gamma))
+        # the roots of 2 gamma t^2 - (1 + alpha) t + beta multiply to
+        # beta / (2 gamma); t* from that product does not cancel for small
+        # alpha, where (1 + alpha - s) / (4 gamma) does. Halving the sum, not
+        # doubling beta, keeps t* finite wherever the true t* is. This form
+        # tends to land a float or two below the zero, hence the walk up.
+        t_star, t_far = _signed_pair(self, self.beta / (0.5 * (1.0 + a + s)),
+                                     (1.0 + a + s) / (4.0 * self.gamma))
+        return _walk_up(self, t_star, t_far), t_far
 
 
 @dataclass(frozen=True)
@@ -441,9 +447,13 @@ def _nudge_down(h: MajorantFunction, t: float,
     place, then bisects back to the float whose upper neighbour has the
     wrong sign. Raises DegenerateRootError when no float in (0, t] has the
     sign, as at the criterion boundary, where t* and t** merge in floating
-    point and h stays positive on every float.
+    point and h stays positive on every float. Raises NoRootError when t is
+    not finite: the zero lies past the float range.
     """
     t = float(t)
+    if not math.isfinite(t):
+        raise NoRootError(
+            f"the zero of h is not a finite float ({t!r}); it lies past the float range")
     if keep(h.value(t)):
         return t
     hi = t
@@ -467,6 +477,22 @@ def _nudge_down(h: MajorantFunction, t: float,
             lo = mid
         else:
             hi = mid
+
+
+# how many floats _walk_up moves t* up at most
+_WALK_UP = 4
+
+
+def _walk_up(h: MajorantFunction, t: float, t_hi: float) -> float:
+    """t moved up while the next float keeps h >= 0, by at most _WALK_UP
+    floats and never onto t_hi: a t* that landed a float or two below the
+    zero, where _nudge_down leaves it, becomes the largest such float."""
+    for _ in range(_WALK_UP):
+        up = math.nextafter(t, math.inf)
+        if not (up < t_hi and h.value(up) >= 0.0):
+            break
+        t = up
+    return t
 
 
 def _signed_pair(h: MajorantFunction, t_lo: float, t_hi: float) -> tuple[float, float]:

@@ -83,7 +83,7 @@ _PIVOT_RTOL = 1e-13
 def vector_norm(v) -> float:
     """The max norm of v; 0 for an empty vector."""
     v = np.asarray(v, dtype=float)
-    return float(np.max(np.abs(v))) if v.size else 0.0
+    return float(np.abs(v).max()) if v.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -162,7 +162,7 @@ class SolveTrace:
 
     def to_json_dict(self) -> dict:
         return {
-            "iterates": [list(map(float, x)) for x in self.iterates],
+            "iterates": [np.asarray(x, dtype=float).tolist() for x in self.iterates],
             "residual_norms": list(map(float, self.residual_norms)),
             "step_norms": list(map(float, self.step_norms)),
             "lf_norms": list(map(float, self.lf_norms)),
@@ -194,7 +194,7 @@ class SolveTrace:
 
 def _check_pivots(pivots: np.ndarray, column_scale: np.ndarray) -> None:
     bad = pivots <= _PIVOT_RTOL * column_scale
-    if np.any(bad):
+    if bad.any():
         worst = int(np.argmax(bad))
         biggest = float(pivots.max()) if pivots.size else 0.0
         raise LinearSolveError(
@@ -226,12 +226,12 @@ def _tridiagonal_factor(bands: np.ndarray) -> Callable[[np.ndarray], np.ndarray]
     """gttrf factorization of a tridiagonal matrix in (3, n) storage, behind
     the guards of _lu_factor_checked; returns the gttrs solve."""
     sup, diag, sub = bands[0, 1:], bands[1], bands[2, :-1]
-    if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(sup))
-            and np.all(np.isfinite(sub))):
-        raise LinearSolveError("matrix contains non-finite entries")
     column_scale = np.abs(diag)
     column_scale[1:] = np.maximum(column_scale[1:], np.abs(sup))
     column_scale[:-1] = np.maximum(column_scale[:-1], np.abs(sub))
+    # np.maximum carries a nan or inf of any band into column_scale
+    if not np.isfinite(column_scale).all():
+        raise LinearSolveError("matrix contains non-finite entries")
     dl, d, du, du2, ipiv, _ = lapack.dgttrf(sub, diag, sup)
     # gttrf stops at an exact zero pivot, which the guard below catches too
     _check_pivots(np.abs(d), column_scale)
@@ -286,6 +286,7 @@ def _band_matvec(bands: np.ndarray, y: np.ndarray) -> np.ndarray:
 # T x > 0 must hold row by row beyond this multiple of (|T| x): a row of the
 # tridiagonal product rounds three terms, at most about 1.5 eps of |T| x.
 _POSITIVE_ROW_RTOL = 4.0 * np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
 
 def _one_solve_lf_norm(jac: np.ndarray, second: np.ndarray,
@@ -300,20 +301,20 @@ def _one_solve_lf_norm(jac: np.ndarray, second: np.ndarray,
     every column of S has one sign, |T^{-1} S| = T^{-1} |S|, so the largest
     row sum of |T^{-1} S| is the largest entry of T^{-1} (|S| 1).
     """
-    if np.any(jac[0, 1:] > 0.0) or np.any(jac[2, :-1] > 0.0):
+    if (jac[0, 1:] > 0.0).any() or (jac[2, :-1] > 0.0).any():
         return None
     columns = second.copy()
     columns[0, 0] = columns[2, -1] = 0.0   # the unused corners
-    if not np.all((columns.min(axis=0) >= 0.0) | (columns.max(axis=0) <= 0.0)):
+    if not ((columns.min(axis=0) >= 0.0) | (columns.max(axis=0) <= 0.0)).all():
         return None
     ones = np.ones(jac.shape[1])
     x = solve(ones)
-    if not np.all(x > 0.0):
+    if not (x > 0.0).all():
         return None
-    floor = _POSITIVE_ROW_RTOL * _band_matvec(np.abs(jac), x) + np.finfo(float).tiny
-    if not np.all(_band_matvec(jac, x) > floor):
+    floor = _POSITIVE_ROW_RTOL * _band_matvec(np.abs(jac), x) + _TINY
+    if not (_band_matvec(jac, x) > floor).all():
         return None
-    return 0.5 * float(np.max(solve(_band_matvec(np.abs(second), ones))))
+    return 0.5 * float(solve(_band_matvec(np.abs(second), ones)).max())
 
 
 class _Step:

@@ -5,11 +5,12 @@ package; it only evaluates h and h' and halves intervals, so agreement with
 the library's root finders is a real cross-check. The closed-form rate
 constants check the package's one generic rate formula the same way, and
 the kernel integrals come from Gauss panels, not from the closed-form
-weights.
+weights. The json renderer is checked against a plain per-value renderer.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from typing import Callable
 
@@ -198,3 +199,30 @@ def integrate_against_kernel(s: float, func: Callable[[float], float],
     pts, wts = _gauss_panels(edges, order)
     vals = np.array([func(float(t)) for t in pts.ravel()]).reshape(pts.shape)
     return float(np.sum(green_kernel(s, pts) * wts * vals))
+
+
+def render_json_oracle(value) -> str:
+    """The CLI's json text, one value at a time: finite floats as ".17g",
+    non-finite ones as json.dumps writes them, strings through json.dumps."""
+    if value is None:
+        return "null"
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        x = float(value)
+        if math.isnan(x):
+            return "NaN"
+        if math.isinf(x):
+            return "Infinity" if x > 0 else "-Infinity"
+        return format(x, ".17g")
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, dict):
+        body = ", ".join(
+            f"{json.dumps(str(k))}: {render_json_oracle(v)}" for k, v in value.items())
+        return "{" + body + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(map(render_json_oracle, value)) + "]"
+    raise TypeError(f"cannot render {type(value).__name__} as json")

@@ -3,14 +3,18 @@
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from halley_cert import ConvergenceCertificate, SolveTrace, cli
 from halley_cert.cli import main
+from helpers import render_json_oracle
 
 TABLE_ARGS = ["certificate", "kantorovich",
               "--beta", "0.2", "--eta", "1.2", "--lip", "1.2"]
@@ -289,6 +293,19 @@ def test_typed_errors_exit_1_without_traceback(beta, eta, lip):
     assert "Traceback" not in proc.stderr
 
 
+def test_smale_radii_near_the_float_maximum_do_not_hang():
+    # 2 beta overflows, t* = 1.42e308 does not
+    proc = run_module(["certificate", "smale", "--beta", "9e307",
+                       "--gamma", "1.889e-309", "--format", "json"])
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["t_star"] == 1.4239950317680297e308
+    # t** is past the largest float
+    proc = run_module(["certificate", "smale", "--beta", "1e-300",
+                       "--gamma", "1e-309"])
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and "float range" in proc.stderr
+
+
 def test_rate_constant_past_the_float_range_prints_infinity():
     # gamma^2 = 1e400 leaves the floats, so the rate constant is +inf
     proc = run_module(["certificate", "smale", "--beta", "1e-201", "--gamma", "1e200",
@@ -299,3 +316,47 @@ def test_rate_constant_past_the_float_range_prints_infinity():
     data = json.loads(proc.stdout)
     assert data["verdict"] == "certified"
     assert data["rate_constant"] == math.inf
+
+
+# Edges of the float range, spliced into lists of floats drawn bit by bit,
+# so subnormals and both zeros come up as well.
+_FLOAT_EDGES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                1.7976931348623157e308, -1.7976931348623157e308,
+                1.7976931348623155e308, -1.7976931348623155e308)
+_NOT_FINITE = (math.nan, math.inf, -math.inf)
+
+
+@st.composite
+def _float_lists(draw, extras):
+    """Lists of length 0, 1, 255, 256, 257 or 513: random bit patterns, any
+    non-finite one read as 0.0, with up to 8 entries overwritten by extras."""
+    n = draw(st.sampled_from([0, 1, 255, 256, 257, 513]))
+    bits = draw(st.binary(min_size=8 * n, max_size=8 * n))
+    values = [x if math.isfinite(x) else 0.0
+              for x in struct.unpack(f"<{n}d", bits)]
+    if n:
+        for i, item in draw(st.lists(st.tuples(st.integers(0, n - 1), extras),
+                                     max_size=8)):
+            values[i] = item
+    return values
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=_float_lists(st.sampled_from(_FLOAT_EDGES)))
+def test_float_lists_render_as_one_value_at_a_time(values):
+    assert cli._render_json(values) == render_json_oracle(values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=_float_lists(st.one_of(st.sampled_from(_FLOAT_EDGES + _NOT_FINITE),
+                                     st.integers(), st.booleans(), st.none())))
+def test_mixed_lists_render_as_one_value_at_a_time(values):
+    assert cli._render_json(values) == render_json_oracle(values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(value=st.dictionaries(
+    st.text(), st.one_of(st.text(), st.sampled_from(_FLOAT_EDGES + _NOT_FINITE),
+                         st.none()), max_size=8))
+def test_keys_and_strings_render_as_json_dumps_writes_them(value):
+    assert cli._render_json(value) == render_json_oracle(value)

@@ -5,6 +5,7 @@ import math
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -109,6 +110,39 @@ def test_smale_closed_roots_frozen():
     assert t_outer == pytest.approx(0.9440763653560053, abs=1e-13)
 
 
+def _smale_t_star_reference(beta: float, gamma: float) -> float:
+    """t* = (1 + alpha - sqrt((1 + alpha)^2 - 8 alpha)) / (4 gamma) in 50 digits."""
+    with mpmath.workdps(50):
+        b, g = mpmath.mpf(beta), mpmath.mpf(gamma)
+        a = b * g
+        return float((1 + a - mpmath.sqrt((1 + a) ** 2 - 8 * a)) / (4 * g))
+
+
+@pytest.mark.parametrize("beta, gamma", [
+    # (1 + alpha - s) / (4 gamma) cancels here: to 0 and to 9.25e-18
+    (1e-20, 1.0), (1e-17, 3.0),
+    # beta / ((1 + alpha + s) / 2) lands two floats below the zero here
+    (0.694, 0.209), (0.175, 0.726),
+    # 2 beta overflows here, the true t* = 1.42e308 does not
+    (9e307, 1.889e-309)])
+def test_smale_t_star_is_the_float_nearest_the_zero(beta, gamma):
+    h = SmaleMajorant(beta, gamma)
+    t_star = h.roots()[0]
+    assert t_star == _smale_t_star_reference(beta, gamma)
+    assert h.value(t_star) >= 0.0 > h.value(math.nextafter(t_star, math.inf))
+    cert = smale_certificate(SmaleInputs(beta, gamma))
+    assert cert.certified and cert.t_star == t_star > 0.0
+    assert t_star < cert.uniqueness_radius < math.inf
+    assert len(cert.sequence.points) >= 1
+    assert cert.apriori_errors[0] == t_star
+
+
+def test_smale_zero_past_the_float_range_is_no_root():
+    # t** is about 1 / (2 gamma) = 5e308, past the largest float
+    with pytest.raises(NoRootError, match="float range"):
+        SmaleMajorant(1e-300, 1e-309).roots()
+
+
 def test_smale_double_root_at_boundary():
     gamma = 0.7
     h = SmaleMajorant(SMALE_BOUND / gamma, gamma)
@@ -140,6 +174,10 @@ def test_nudge_without_a_float_of_the_wanted_sign_raises():
         _nudge_down(h, 0.5 * smallest_root(h), lambda v: v <= 0.0)
     with pytest.raises(DegenerateRootError):
         _nudge_down(h, 0.0, lambda v: v < 0.0)
+    # a zero past the float range: no stride from inf or nan ever lands
+    for t in (math.inf, math.nan):
+        with pytest.raises(NoRootError, match="float range"):
+            _nudge_down(h, t, lambda v: v >= 0.0)
 
 
 def _exact_cubic(args, t):

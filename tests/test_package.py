@@ -19,12 +19,15 @@ def test_exports_are_the_union_of_the_submodules():
         assert getattr(halley_cert, name) is not None
 
 
-# Installs the bench wrappers and runs one certificate of each kind under
-# them. rate_constant is inherited by both majorants and wrapped on each
-# subclass, so each certificate must record its own span.
-_TRACED_CERTIFICATES = """
+# Installs the bench wrappers and runs one certificate of each kind and one
+# json solve under them. rate_constant is inherited by both majorants and
+# wrapped on each subclass, so each certificate must record its own span;
+# the solve must pass through every layer the solve workload times.
+_TRACED_RUN = """
+import contextlib
+import io
 import tracing
-from halley_cert import certificate
+from halley_cert import certificate, cli
 tracer = tracing.Tracer()
 tracing.install(tracer)
 tracer.active = True
@@ -32,6 +35,17 @@ certificate.kantorovich_certificate(certificate.KantorovichInputs(0.2, 1.2, 1.2)
 certificate.smale_certificate(certificate.SmaleInputs(0.1, 0.5))
 names = [rec[3] for rec in tracer.spans]
 assert names.count("majorant.rate_constant") == 2, names
+
+del tracer.spans[:]
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["solve", "hammerstein", "--lambda", "1", "--nodes", "64",
+                     "--format", "json"])
+assert code == 0, code
+names = {rec[3] for rec in tracer.spans}
+solve_path = {"cli.main", "hammerstein.solve_and_check", "hammerstein.discretize",
+              "problem.solve", "certificate.kantorovich",
+              "certificate.verify_error_bound"}
+assert solve_path <= names, sorted(solve_path - names)
 """
 
 
@@ -41,6 +55,6 @@ def test_bench_wrappers_find_their_targets():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src"), str(ROOT / "bench")]))
     run = subprocess.run(
-        [sys.executable, "-c", _TRACED_CERTIFICATES],
+        [sys.executable, "-c", _TRACED_RUN],
         env=env, cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr

@@ -119,9 +119,27 @@ def test_near_singular_tridiagonal_form_is_a_linear_solve_failure():
     assert trace.stop_reason == "linear_solve_failure"
     assert len(trace.iterates) == 1 and trace.lf_norms == []
 
-    bands[1, 2] = np.nan
-    with pytest.raises(LinearSolveError, match="non-finite"):
-        halley_step(_tridiagonal_linear(bands), np.zeros(3))
+    # every entry of the three bands is guarded; F(0) reads the broken entry
+    # too, where inf * 0 is nan
+    for row, cols in ((0, (1, 2)), (1, (0, 1, 2)), (2, (0, 1))):
+        for col in cols:
+            for bad in (np.nan, np.inf, -np.inf):
+                broken = bands.copy()
+                broken[row, col] = bad
+                with np.errstate(invalid="ignore"), \
+                        pytest.raises(LinearSolveError, match="non-finite"):
+                    halley_step(_tridiagonal_linear(broken), np.zeros(3))
+
+    # the two unused corners are never read
+    regular = np.array([[0.0, 1.0, 1.0],
+                        [4.0, 4.0, 4.0],
+                        [1.0, 1.0, 0.0]])
+    expected = halley_step(_tridiagonal_linear(regular), np.zeros(3))
+    for corner in ((0, 0), (2, 2)):
+        broken = regular.copy()
+        broken[corner] = np.nan
+        assert np.array_equal(halley_step(_tridiagonal_linear(broken), np.zeros(3)),
+                              expected)
 
 
 def test_tridiagonal_form_shape_and_size_are_checked():
@@ -408,6 +426,14 @@ def test_estimate_q_order_needs_enough_signal():
         stop_reason="residual_below_tol",
     )
     assert estimate_q_order(short) is None
+
+
+def test_trace_json_iterates_are_python_floats():
+    p, x0 = quadratic_problem(np.random.default_rng(41), 6)
+    trace = halley_solve(p, x0)
+    iterates = trace.to_json_dict()["iterates"]
+    assert iterates == [list(map(float, x)) for x in trace.iterates]
+    assert all(type(v) is float for x in iterates for v in x)
 
 
 def test_trace_json_round_trip():
