@@ -106,6 +106,13 @@ class ConvergenceCertificate:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ConvergenceCertificate":
+        """The certificate that ``to_json_dict`` wrote, without its majorant.
+
+        JSON holds no majorant, so ``verify_error_bound`` cannot extend the
+        schedule of a loaded certificate to a longer trace and reads the
+        budget past the schedule's end as 0. A short schedule that passes
+        the audit in memory can fail it once loaded.
+        """
         points = data.get("sequence")
         apriori = data.get("apriori_errors")
         sequence = None

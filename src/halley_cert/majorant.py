@@ -18,14 +18,19 @@ constant) is one method of ``MajorantFunction``, answered numerically for
 any h; the cubic and rational majorants override the first two with closed
 forms.
 
+Every zero is found by one routine, monotone Newton. Under A2 h is convex,
+so Newton's method cannot overshoot a zero: it rises monotonically from 0
+to t*, and falls monotonically to t** from any point past the minimum of h
+where h > 0. The minimum itself is the zero of the convex h', which Newton
+on h' approaches the same way from above.
+
 The cubic majorant is solved in scale-free form: its slope h' has one
 positive zero r1, and t = r1 tau gives h(t) = r1 g(tau) with g(tau) = b -
 tau + a tau^2 + c tau^3, b = beta/r1, a = eta r1/2 and c = lip r1^2/6, where
 h'(r1) = 0 reads 2a + 3c = 1. The coefficients are of order one for every
 valid input. g is convex on tau >= 0 with its minimum at 1, so the zeros
-exist iff g(1) <= 0, and Newton's method cannot overshoot them: it rises
-monotonically from g(0) = b >= 0 to tau*, and falls from tau = 4, where
-g(4) = b + 4 + 40c > 0, to tau**.
+exist iff g(1) <= 0, and Newton rises from g(0) = b >= 0 to tau*, and falls
+from tau = 4, where g(4) = b + 4 + 40c > 0, to tau**.
 """
 
 from __future__ import annotations
@@ -82,7 +87,7 @@ class MajorantFunction:
 
     Subclasses provide h, h', h'' and ``third_deriv``, the left derivative
     of h''. Each question is one method whose body here is the generic
-    numeric answer: ``roots`` brackets and bisects for t* and t**,
+    numeric answer: ``roots`` runs monotone Newton for t* and t**,
     ``a2_holds`` samples h'' on a grid, and ``rate_constant`` evaluates the
     paper's formula at t*. ``CubicMajorant`` and ``SmaleMajorant`` override
     the first two with closed forms; the rate constant has one body for
@@ -112,13 +117,35 @@ class MajorantFunction:
         sup {t in [t*, R): h(t) <= 0}, which is R itself where h stays
         nonpositive up to R.
 
-        Brackets t* by a geometric scan toward the minimum of h and t** by
-        doubling strides up from t*, then bisects and polishes. Raises
-        NoRootError where h has no zero, which is exactly the failure of the
-        convergence criterion.
+        Finds the minimum t_min of h (``_minimum``) and raises NoRootError
+        where h(t_min) > 0, which is exactly the failure of the convergence
+        criterion. Newton then rises from 0 to t*, and falls to t** from the
+        first point with h > 0 that doubling finds above t_min. Both radii
+        are nudged to the safe side of rounding.
         """
-        t_star = _generic_smallest_root(self)
-        return t_star, _generic_uniqueness_radius(self, t_star)
+        h0 = self.value(0.0)
+        if h0 < 0.0:
+            raise NoRootError(f"h(0) = {h0} is negative, no majorizing zero to find")
+        bound = self.domain_bound
+        t_min = _minimum(self)
+        # where h' < 0 up to R, h is least at the last float below R
+        edge = math.nextafter(bound, 0.0) if t_min is None else t_min
+        if self.value(edge) > 0.0:
+            raise NoRootError(
+                f"h stays positive on [0, {edge:.6g}]; the convergence criterion fails")
+
+        def f(t: float) -> tuple[float, float]:
+            return self.value(t), self.deriv(t)
+
+        t_star = _monotone_newton(f, 0.0, edge)
+        t = edge
+        while True:
+            t, last = _toward(t, bound), t
+            if not last < t < bound:
+                # h stays nonpositive up to R
+                return _nudge_down(self, t_star, lambda v: v >= 0.0), bound
+            if self.value(t) > 0.0:
+                return _signed_pair(self, t_star, _monotone_newton(f, t, edge))
 
     def a2_holds(self, t_star: float | None, notes: list[str]) -> bool:
         """Whether A2 holds; appends to ``notes`` why not.
@@ -127,7 +154,7 @@ class MajorantFunction:
         of 64 points over [0, min(R, T)], where T is twice the minimum of h,
         or twice t* when the minimum is out of reach, or else 1.
         """
-        t_min = _locate_minimum(self)
+        t_min = _minimum(self)
         if t_min is not None:
             extent = 2.0 * t_min
         elif t_star is not None and t_star > 0.0:
@@ -263,8 +290,12 @@ class CubicMajorant(MajorantFunction):
         if g_min >= -_MERGE_TOL:
             # the criterion boundary: the zeros merge at r1 within rounding
             return _signed_pair(self, r1, r1)
-        return _signed_pair(self, _newton_polish(self, r1 * _scale_free_root(b, a, c, 0.0)),
-                            _newton_polish(self, r1 * _scale_free_root(b, a, c, 4.0)))
+
+        def g(tau: float) -> tuple[float, float]:
+            return b - tau + tau * tau * (a + c * tau), tau * (2.0 * a + 3.0 * c * tau) - 1.0
+
+        return _signed_pair(self, _newton_polish(self, r1 * _monotone_newton(g, 0.0, 1.0)),
+                            _newton_polish(self, r1 * _monotone_newton(g, 4.0, 1.0)))
 
 
 @dataclass(frozen=True)
@@ -339,6 +370,7 @@ class SmaleMajorant(MajorantFunction):
 class CallableMajorant(MajorantFunction):
     """Majorant assembled from user-supplied evaluation rules.
 
+    ``bound`` is R, the right end of the domain [0, R): positive, or inf.
     ``third_deriv_fn`` is the left derivative of h''; without it the
     majorant has no rate constant.
     """
@@ -348,6 +380,10 @@ class CallableMajorant(MajorantFunction):
     second_deriv_fn: Callable[[float], float]
     bound: float = math.inf
     third_deriv_fn: Callable[[float], float] | None = None
+
+    def __post_init__(self):
+        if not self.bound > 0.0:
+            raise ValueError(f"bound must be a positive real or inf, got {self.bound}")
 
     @property
     def domain_bound(self) -> float:
@@ -404,20 +440,54 @@ class MajorizingSequence:
 # root finding
 
 
-def _scale_free_root(b: float, a: float, c: float, tau: float) -> float:
-    """Monotone Newton on the scale-free cubic g from tau = 0 to tau*, or from
-    4 to tau**, until rounding turns it back or across 1. Where the zeros
-    nearly merge it converges linearly, in up to about 30 steps; 100 caps it."""
-    rising = tau < 1.0
+def _monotone_newton(f: Callable[[float], tuple[float, float]], t: float,
+                     limit: float) -> float:
+    """Newton's method on a convex function, given as t -> (value, slope),
+    from t toward its zero on the side of ``limit``: rising where t < limit,
+    falling otherwise.
+
+    Convexity keeps every step on the side of the zero it started on, so
+    the iteration stops where rounding turns a step back or carries it past
+    ``limit``. Where the zero is nearly double it converges linearly, in up
+    to about 30 steps; 100 caps it."""
+    rising = t < limit
     for _ in range(100):
-        slope = tau * (2.0 * a + 3.0 * c * tau) - 1.0
+        value, slope = f(t)
         if slope == 0.0 or (slope < 0.0) != rising:
             break
-        nxt = tau - (b - tau + tau * tau * (a + c * tau)) / slope
-        if not (tau < nxt <= 1.0 if rising else 1.0 <= nxt < tau):
+        nxt = t - value / slope
+        if not (t < nxt <= limit if rising else limit <= nxt < t):
             break
-        tau = nxt
-    return tau
+        t = nxt
+    return t
+
+
+def _toward(t: float, bound: float) -> float:
+    """The next probe up from t: 2t, or halfway to a finite R where nearer."""
+    return min(2.0 * t, t + 0.5 * (bound - t))
+
+
+def _minimum(h: MajorantFunction) -> float | None:
+    """The zero of h' in (0, R), where h is least, or None where h' stays
+    negative up to R.
+
+    From 1, or R/2 on a finite domain, probes double (``_toward``) or halve
+    until h' >= 0 within a factor of 2 of the zero; Newton on the convex h'
+    falls from there."""
+    bound = h.domain_bound
+    hi = 1.0 if math.isinf(bound) else 0.5 * bound
+    if h.deriv(hi) >= 0.0:
+        lo = 0.5 * hi
+        while lo > 0.0 and h.deriv(lo) >= 0.0:
+            hi, lo = lo, 0.5 * lo
+    else:
+        while True:
+            lo, hi = hi, _toward(hi, bound)
+            if not lo < hi < bound:
+                return None
+            if h.deriv(hi) >= 0.0:
+                break
+    return _monotone_newton(lambda t: (h.deriv(t), h.second_deriv(t)), hi, lo)
 
 
 def _newton_polish(h: MajorantFunction, t: float) -> float:
@@ -503,119 +573,16 @@ def _signed_pair(h: MajorantFunction, t_lo: float, t_hi: float) -> tuple[float, 
     return (t_lo, t_hi)
 
 
-def _locate_minimum(h: MajorantFunction) -> float | None:
-    """Zero of h' in (0, R), or None when h' stays negative up to R."""
-    bound = h.domain_bound
-    hi = 1.0 if math.isinf(bound) else 0.5 * bound
-    found = False
-    # doubling reaches every float exponent: the minimum of a cubic with a
-    # tiny lip sits near sqrt(2 / lip), up to about 2^538
-    for _ in range(1100):
-        if h.deriv(hi) >= 0.0:
-            found = True
-            break
-        if math.isinf(bound):
-            hi *= 2.0
-            if math.isinf(hi):
-                break
-        else:
-            nxt = hi + 0.5 * (bound - hi)
-            if nxt - hi < 1e-15 * bound:
-                break
-            hi = nxt
-    if not found:
-        return None
-    lo = 0.0
-    for _ in range(200):
-        if hi - lo <= 1e-15 * max(1.0, hi):
-            break
-        mid = 0.5 * (lo + hi)
-        if h.deriv(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _far_edge(h: MajorantFunction) -> float:
-    bound = h.domain_bound
-    if math.isinf(bound):
-        return 1e8
-    return bound * (1.0 - 1e-12)
-
-
-def _generic_smallest_root(h: MajorantFunction) -> float:
-    h0 = h.value(0.0)
-    if h0 < 0.0:
-        raise NoRootError(f"h(0) = {h0} is negative, no majorizing zero to find")
-    if h0 == 0.0:
-        return 0.0
-    t_min = _locate_minimum(h)
-    edge = t_min if t_min is not None else _far_edge(h)
-    if h.value(edge) > 0.0:
-        raise NoRootError(
-            f"h stays positive on [0, {edge:.6g}]; the convergence criterion fails")
-    # Scan a geometric grid toward the minimum so the bracket lands on the
-    # first sign change even if the input is not perfectly convex.
-    bracket_lo, bracket_hi = 0.0, edge
-    prev = 0.0
-    for k in range(48, -1, -1):
-        t = edge * 0.5 ** k
-        if h.value(t) <= 0.0:
-            bracket_lo, bracket_hi = prev, t
-            break
-        prev = t
-    lo, hi = bracket_lo, bracket_hi
-    for _ in range(200):
-        if hi - lo <= 1e-15 * max(1.0, hi):
-            break
-        mid = 0.5 * (lo + hi)
-        if h.value(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    t = _newton_polish(h, 0.5 * (lo + hi))
-    return _nudge_down(h, t, lambda v: v >= 0.0)
-
-
-def _generic_uniqueness_radius(h: MajorantFunction, t_star: float) -> float:
-    """sup {t in [t*, R): h(t) <= 0} by expanding from t* until h is
-    positive, then bisecting back; R where h stays nonpositive to the edge."""
-    edge = _far_edge(h)
-    if h.value(edge) <= 0.0:
-        return h.domain_bound
-    lo = t_star
-    hi = edge
-    width = max(t_star, 1.0) * 1e-6
-    probe = t_star
-    for _ in range(200):
-        nxt = min(probe + width, edge)
-        if h.value(nxt) > 0.0:
-            lo, hi = probe, nxt
-            break
-        probe = nxt
-        width *= 2.0
-        if probe >= edge:
-            break
-    for _ in range(200):
-        if hi - lo <= 1e-15 * max(1.0, hi):
-            break
-        mid = 0.5 * (lo + hi)
-        if h.value(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    t = _newton_polish(h, 0.5 * (lo + hi))
-    return _nudge_down(h, t, lambda v: v <= 0.0)
-
-
 @lru_cache(maxsize=_ROOTS_CACHE_SIZE)
 def _cached_roots(h: MajorantFunction) -> tuple[float, float]:
     return h.roots()
 
 
 def smallest_root(h: MajorantFunction) -> float:
-    """Smallest t in [0, R) with h(t) = 0, to residual 1e-14 * max(1, h(0)).
+    """Smallest t in [0, R) with h(t) = 0, as a float on the side of the
+    zero where h(t*) >= 0. Its accuracy is that of h: a rounding error
+    delta in h(t*) moves t* by about delta / |h'(t*)|, which grows near the
+    criterion boundary, where h'(t*) tends to 0.
 
     The first of ``h.roots()``, cached. Raises NoRootError when h never
     crosses zero, which is exactly the failure of the convergence criterion.

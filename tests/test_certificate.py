@@ -10,14 +10,17 @@ import pytest
 from halley_cert import (
     AssumptionError,
     ConvergenceCertificate,
+    HammersteinSpec,
     KantorovichInputs,
     SMALE_CRITERION_BOUND,
     SmaleInputs,
     SolveTrace,
+    analytic_bounds,
     check_initial_conditions,
     halley_solve,
     kantorovich_certificate,
     smale_certificate,
+    solve_and_check,
     verify_error_bound,
 )
 from halley_cert.majorant import CubicMajorant, SmaleMajorant
@@ -227,6 +230,18 @@ def test_json_schema_and_round_trip():
     assert back.sequence.converged_at == cert.sequence.converged_at
     assert back.apriori_errors == cert.apriori_errors
     assert back.apriori_errors == back.sequence.gaps
+
+
+def test_loaded_certificate_cannot_extend_a_short_schedule():
+    # the loaded certificate has no majorant to extend its one-step
+    # schedule with, so the audit reads the budget past it as 0
+    trace = solve_and_check(HammersteinSpec(lam=1.0, nodes=64)).trace
+    cert = kantorovich_certificate(KantorovichInputs(*analytic_bounds(1.0)), seq_len=1)
+    back = ConvergenceCertificate.from_json_dict(json.loads(json.dumps(cert.to_json_dict())))
+    assert len(cert.sequence.points) < len(trace.iterates)
+    assert back.majorant is None
+    assert verify_error_bound(trace, cert).all_ok
+    assert not verify_error_bound(trace, back).all_ok
 
 
 def test_failed_certificate_round_trip():

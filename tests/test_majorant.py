@@ -44,6 +44,19 @@ TABLE_CUBIC = CubicMajorant(0.2, 1.2, 1.2)
 TABLE_SMALE = SmaleMajorant(0.1, 0.5)
 
 
+def _callable_copy(h) -> CallableMajorant:
+    """h with its closed forms stripped off: only the generic methods remain."""
+    return CallableMajorant(value_fn=h.value, deriv_fn=h.deriv,
+                            second_deriv_fn=h.second_deriv, bound=h.domain_bound,
+                            third_deriv_fn=h.third_deriv)
+
+
+def _assert_generic_roots_match(h):
+    # relative only: pytest.approx would also pass anything within 1e-12
+    for got, want in zip(_callable_copy(h).roots(), h.roots()):
+        assert abs(got - want) <= 1e-14 * want
+
+
 def test_cubic_pointwise_identities():
     h = TABLE_CUBIC
     assert h.value(0.0) == 0.2
@@ -81,6 +94,11 @@ def test_constructor_validation():
         SmaleMajorant(0.1, 0.0)
     with pytest.raises(ValueError):
         SmaleMajorant(math.nan, 1.0)
+    parts = dict(value_fn=TABLE_CUBIC.value, deriv_fn=TABLE_CUBIC.deriv,
+                 second_deriv_fn=TABLE_CUBIC.second_deriv)
+    for bound in (0.0, -1.0, math.nan, -math.inf):
+        with pytest.raises(ValueError, match="bound"):
+            CallableMajorant(**parts, bound=bound)
 
 
 def test_criterion_bound_value():
@@ -228,6 +246,8 @@ def test_scalar_certificates_call_no_numpy(monkeypatch):
                  (2.383314231173618e-114, 6.088981369790589e-171, 4.1888287133226865e+226)]:
         assert kantorovich_certificate(KantorovichInputs(*args)).certified
     assert smale_certificate(SmaleInputs(0.1, 0.5)).certified
+    for h in (TABLE_CUBIC, TABLE_SMALE):
+        _assert_generic_roots_match(h)
 
 
 def test_criterion_bound_where_the_slope_square_is_subnormal():
@@ -265,18 +285,36 @@ def test_smallest_root_no_root_errors():
 
 
 def test_generic_root_finding_matches_closed_forms():
-    """Strip the closed forms off via CallableMajorant; bisection must agree."""
+    """Strip the closed forms off via CallableMajorant; monotone Newton must agree."""
     for concrete in (TABLE_CUBIC, CubicMajorant(0.05, 0.4, 2.0), TABLE_SMALE):
-        generic = CallableMajorant(
-            value_fn=concrete.value,
-            deriv_fn=concrete.deriv,
-            second_deriv_fn=concrete.second_deriv,
-            bound=concrete.domain_bound,
-            third_deriv_fn=concrete.third_deriv,
-        )
+        generic = _callable_copy(concrete)
         assert smallest_root(generic) == pytest.approx(smallest_root(concrete), abs=1e-12)
         assert uniqueness_radius(generic) == pytest.approx(
             uniqueness_radius(concrete), abs=1e-11)
+
+
+@pytest.mark.parametrize("args", [(1e-3, 1e-12, 1e-30), (1e-30, 1e10, 1.0),
+                                  (1e-200, 1e150, 1e100)])
+def test_generic_roots_of_cubics_far_from_unit_scale(args):
+    # t** = 2e12 lies far past unit scale, t* = 1e-30 far below it, and the
+    # minimum of h at 1e-150 below every absolute tolerance
+    _assert_generic_roots_match(CubicMajorant(*args))
+
+
+@settings(max_examples=300, deadline=None)
+@given(log_eta=st.floats(-100.0, 100.0), log_lip=st.floats(-100.0, 100.0),
+       log_gamma=st.floats(-100.0, 100.0), log_share=st.floats(-3.0, math.log10(0.99)),
+       cubic=st.booleans())
+def test_generic_roots_match_closed_forms_at_every_scale(log_eta, log_lip, log_gamma,
+                                                         log_share, cubic):
+    share = 10.0 ** log_share
+    if cubic:
+        eta, lip = 10.0 ** log_eta, 10.0 ** log_lip
+        h = CubicMajorant(CubicMajorant(0.0, eta, lip).criterion_bound() * share, eta, lip)
+    else:
+        gamma = 10.0 ** log_gamma
+        h = SmaleMajorant(SMALE_BOUND * share / gamma, gamma)
+    _assert_generic_roots_match(h)
 
 
 def test_uniqueness_radius_supremum_not_attained():
@@ -421,9 +459,7 @@ def certified_majorants(draw):
 @given(h=certified_majorants())
 def test_closed_form_a2_agrees_with_the_grid(h):
     fast = check_assumptions(h)
-    grid = check_assumptions(CallableMajorant(
-        value_fn=h.value, deriv_fn=h.deriv, second_deriv_fn=h.second_deriv,
-        bound=h.domain_bound))
+    grid = check_assumptions(_callable_copy(h))
     notes = []
     assert h.a2_holds(fast.t_star, notes) is True and notes == []
     assert fast.all_hold
@@ -442,9 +478,9 @@ def test_closed_form_a2_agrees_with_the_grid(h):
 
 def test_closed_form_a2_skips_the_minimum_search_and_the_grid(monkeypatch):
     def no_search(h):
-        raise AssertionError("_locate_minimum ran")
+        raise AssertionError("_minimum ran")
 
-    monkeypatch.setattr(majorant, "_locate_minimum", no_search)
+    monkeypatch.setattr(majorant, "_minimum", no_search)
     for h in (TABLE_CUBIC, TABLE_SMALE, CubicMajorant(4e-6, 1e5, 1e-8)):
         points = []
 
@@ -578,8 +614,8 @@ def test_majorants_past_the_criterion_raise_without_a_search(monkeypatch):
     def no_search(h):
         raise AssertionError("a generic root search ran")
 
-    monkeypatch.setattr(majorant, "_locate_minimum", no_search)
-    monkeypatch.setattr(majorant, "_generic_smallest_root", no_search)
+    monkeypatch.setattr(majorant, "_minimum", no_search)
+    monkeypatch.setattr(majorant.MajorantFunction, "roots", no_search)
     for h in (CubicMajorant(0.4, 1.2, 1.2), CubicMajorant(1e-60, 1e60, 1e-300),
               SmaleMajorant(1.0, 1.0), SmaleMajorant(SMALE_BOUND * 1.001 / 3e-7, 3e-7)):
         with pytest.raises(NoRootError):
