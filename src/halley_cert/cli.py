@@ -10,8 +10,10 @@ Exit codes are a function of outcome class only:
     4  solver did not converge
 
 Output format is human by default, overridden by the HALLEY_CERT_FORMAT
-environment variable, overridden in turn by --format. Numeric output uses 6
-significant digits in human mode and 17 in json and csv modes.
+environment variable, overridden in turn by --format. Each command builds
+its record once, as json data, csv rows and human lines, and ``_emit``
+prints the one the format asks for. ``_format`` decides the text of every
+scalar: 6 significant digits in human mode, 17 in json and csv modes.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._format import float_text, floats_text
+from ._format import csv_text, float_text, floats_text, human_text
 from .certificate import (
     KantorovichInputs,
     SmaleInputs,
@@ -34,7 +36,7 @@ from .certificate import (
     smale_certificate,
 )
 from .exceptions import HalleyCertError
-from .hammerstein import HammersteinSpec, solve_and_check, table1, table1_csv
+from .hammerstein import HammersteinSpec, solve_and_check, table1
 
 __all__ = ["main", "build_parser", "cmd_certificate", "cmd_table1", "cmd_solve"]
 
@@ -89,58 +91,36 @@ def _render_json(value) -> str:
     raise TypeError(f"cannot render {type(value).__name__} as json")
 
 
-def _human_scalar(value) -> str:
-    if value is None:
-        return "none"
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".6g")
-    return str(value)
-
-
-def _human_lines(value, indent: int = 0) -> list[str]:
-    pad = "  " * indent
+def _human_lines(record: dict, pad: str = "") -> list[str]:
     lines = []
-    if isinstance(value, dict):
-        for k, v in value.items():
-            if isinstance(v, dict):
-                lines.append(f"{pad}{k}:")
-                lines.extend(_human_lines(v, indent + 1))
-            elif isinstance(v, (list, tuple)):
-                joined = " ".join(_human_scalar(item) for item in v)
-                lines.append(f"{pad}{k}: {joined}")
-            else:
-                lines.append(f"{pad}{k}: {_human_scalar(v)}")
-    else:
-        lines.append(f"{pad}{_human_scalar(value)}")
+    for k, v in record.items():
+        if isinstance(v, dict):
+            lines.append(f"{pad}{k}:")
+            lines.extend(_human_lines(v, pad + "  "))
+        elif isinstance(v, (list, tuple)):
+            lines.append(f"{pad}{k}: " + " ".join(map(human_text, v)))
+        else:
+            lines.append(f"{pad}{k}: {human_text(v)}")
     return lines
 
 
 def _resolve_format(flag_value: str | None) -> str:
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get("HALLEY_CERT_FORMAT")
-    if env is None or env == "":
-        return "human"
-    if env not in _FORMATS:
+    # argparse admits no other flag value than the formats
+    fmt = flag_value or os.environ.get("HALLEY_CERT_FORMAT") or "human"
+    if fmt not in _FORMATS:
         raise _UsageError(
-            f"HALLEY_CERT_FORMAT must be one of {', '.join(_FORMATS)}, got {env!r}")
-    return env
+            f"HALLEY_CERT_FORMAT must be one of {', '.join(_FORMATS)}, got {fmt!r}")
+    return fmt
 
 
-def _csv_row(header: Sequence[str], values: Sequence) -> str:
-    cells = []
-    for v in values:
-        if v is None:
-            cells.append("")
-        elif isinstance(v, (bool, np.bool_)):
-            cells.append("true" if v else "false")
-        elif isinstance(v, (float, np.floating)):
-            cells.append(float_text(v))
-        else:
-            cells.append(str(v))
-    return ",".join(header) + "\n" + ",".join(cells) + "\n"
+def _emit(fmt: str, data, csv_rows, human_lines: list[str]) -> None:
+    """Print data as json, csv_rows (the header first) or human_lines."""
+    if fmt == "json":
+        print(_render_json(data))
+    elif fmt == "csv":
+        sys.stdout.write(csv_text(csv_rows))
+    else:
+        print("\n".join(human_lines))
 
 
 def build_parser() -> _Parser:
@@ -159,7 +139,6 @@ def build_parser() -> _Parser:
     kant.add_argument("--eta", type=float, required=True)
     kant.add_argument("--lip", type=float, required=True)
     kant.add_argument("--seq-len", type=int, default=10)
-    kant.add_argument("--format", choices=_FORMATS, default=None)
 
     smale = cert_kind.add_parser("smale",
                                  help="rational-majorant certificate from "
@@ -167,12 +146,10 @@ def build_parser() -> _Parser:
     smale.add_argument("--beta", type=float, required=True)
     smale.add_argument("--gamma", type=float, required=True)
     smale.add_argument("--seq-len", type=int, default=10)
-    smale.add_argument("--format", choices=_FORMATS, default=None)
 
     tab = sub.add_parser("table1", help="existence/uniqueness radii table")
     tab.add_argument("--lambdas", type=str, default="0.25,0.5,0.75,1")
     tab.add_argument("--seq-len", type=int, default=10)
-    tab.add_argument("--format", choices=_FORMATS, default=None)
 
     slv = sub.add_parser("solve", help="discretize and solve a test problem")
     slv_kind = slv.add_subparsers(dest="problem", required=True)
@@ -186,23 +163,9 @@ def build_parser() -> _Parser:
     ham.add_argument("--method", choices=("halley", "newton", "chebyshev",
                                           "family"), default="halley")
     ham.add_argument("--coeffs", type=str, default=None)
-    ham.add_argument("--format", choices=_FORMATS, default=None)
+    for command in (kant, smale, tab, ham):
+        command.add_argument("--format", choices=_FORMATS, default=None)
     return parser
-
-
-def _emit_certificate(cert, fmt: str) -> None:
-    data = cert.to_json_dict()
-    if fmt == "json":
-        print(_render_json(data))
-    elif fmt == "csv":
-        header = ("kind", "verdict", "criterion_lhs", "criterion_rhs",
-                  "t_star", "uniqueness_radius", "rate_constant")
-        values = (data["kind"], data["verdict"], data["criterion"]["lhs"],
-                  data["criterion"]["rhs"], data["t_star"],
-                  data["uniqueness_radius"], data["rate_constant"])
-        sys.stdout.write(_csv_row(header, values))
-    else:
-        print("\n".join(_human_lines(data)))
 
 
 def cmd_certificate(args) -> int:
@@ -217,7 +180,12 @@ def cmd_certificate(args) -> int:
                                      seq_len=args.seq_len)
     except ValueError as exc:
         raise _UsageError(str(exc))
-    _emit_certificate(cert, fmt)
+    data = cert.to_json_dict()
+    header = ("kind", "verdict", "criterion_lhs", "criterion_rhs", "t_star",
+              "uniqueness_radius", "rate_constant")
+    flat = dict(data, criterion_lhs=data["criterion"]["lhs"],
+                criterion_rhs=data["criterion"]["rhs"])
+    _emit(fmt, data, [header, [flat[k] for k in header]], _human_lines(data))
     return 0 if cert.certified else 2
 
 
@@ -244,46 +212,17 @@ def cmd_table1(args) -> int:
         rows = table1(lambdas, seq_len=args.seq_len)
     except ValueError as exc:
         raise _UsageError(str(exc))
-    if fmt == "csv":
-        sys.stdout.write(table1_csv(rows))
-    elif fmt == "json":
-        data = [{"lambda": r.lam, "existence": r.existence,
-                 "uniqueness": r.uniqueness, "certified": r.certified}
-                for r in rows]
-        print(_render_json(data))
-    else:
-        print(f"{'lambda':>10} {'existence':>14} {'uniqueness':>14}")
-        for r in rows:
-            if r.certified:
-                print(f"{r.lam:>10.6g} {r.existence:>14.6g} "
-                      f"{r.uniqueness:>14.6g}")
-            else:
-                print(f"{r.lam:>10.6g} {'not certified':>29}")
+    data, csv_rows = [], [("lambda", "existence", "uniqueness")]
+    human = [f"{'lambda':>10} {'existence':>14} {'uniqueness':>14}"]
+    for r in rows:
+        data.append({"lambda": r.lam, "existence": r.existence,
+                     "uniqueness": r.uniqueness, "certified": r.certified})
+        csv_rows.append((r.lam, r.existence, r.uniqueness))
+        radii = (f"{human_text(r.existence):>14} {human_text(r.uniqueness):>14}"
+                 if r.certified else f"{'not certified':>29}")
+        human.append(f"{human_text(r.lam):>10} {radii}")
+    _emit(fmt, data, csv_rows, human)
     return 0 if all(r.certified for r in rows) else 3
-
-
-def _report_dict(report) -> dict:
-    data = {
-        "problem": {
-            "lambda": report.spec.lam,
-            "power": report.spec.power,
-            "nodes": report.spec.nodes,
-        },
-        "trace": report.trace.to_json_dict(),
-        "certificate": (report.certificate.to_json_dict()
-                        if report.certificate is not None else None),
-        "start_distance": report.start_distance,
-        "containment_ok": report.containment_ok,
-        "error_bounds": None,
-        "note": report.note,
-    }
-    if report.error_bounds is not None:
-        data["error_bounds"] = {
-            "all_ok": report.error_bounds.all_ok,
-            "checks": len(report.error_bounds.checks),
-            "message": report.error_bounds.message,
-        }
-    return data
 
 
 def cmd_solve(args) -> int:
@@ -304,37 +243,38 @@ def cmd_solve(args) -> int:
     except ValueError as exc:
         raise _UsageError(str(exc))
 
-    if fmt == "json":
-        print(_render_json(_report_dict(report)))
-    elif fmt == "csv":
-        trace = report.trace
-        header = ("converged", "stop_reason", "iterations", "final_residual",
-                  "q_order_estimate", "start_distance", "containment_ok")
-        values = (trace.converged, trace.stop_reason, len(trace.iterates),
-                  trace.residual_norms[-1], trace.q_order_estimate,
-                  report.start_distance, report.containment_ok)
-        sys.stdout.write(_csv_row(header, values))
-    else:
-        trace = report.trace
-        summary = {
-            "converged": trace.converged,
-            "stop_reason": trace.stop_reason,
-            "iterations": len(trace.iterates),
-            "final_residual": trace.residual_norms[-1],
-            "q_order_estimate": trace.q_order_estimate,
-            "certificate": (report.certificate.verdict
-                            if report.certificate is not None else "none"),
-            "t_star": (report.certificate.t_star
-                       if report.certificate is not None else None),
-            "start_distance": report.start_distance,
-            "containment_ok": report.containment_ok,
-            "error_bounds_ok": (report.error_bounds.all_ok
-                                if report.error_bounds is not None else None),
-        }
-        if report.note:
-            summary["note"] = report.note
-        print("\n".join(_human_lines(summary)))
-    return 0 if report.trace.converged else 4
+    trace, cert, bounds = report.trace, report.certificate, report.error_bounds
+    data = {
+        "problem": {"lambda": spec.lam, "power": spec.power, "nodes": spec.nodes},
+        "trace": trace.to_json_dict(),
+        "certificate": None if cert is None else cert.to_json_dict(),
+        "start_distance": report.start_distance,
+        "containment_ok": report.containment_ok,
+        "error_bounds": None if bounds is None else {
+            "all_ok": bounds.all_ok, "checks": len(bounds.checks),
+            "message": bounds.message},
+        "note": report.note,
+    }
+    summary = {
+        "converged": trace.converged,
+        "stop_reason": trace.stop_reason,
+        "iterations": len(trace.iterates),
+        "final_residual": trace.residual_norms[-1],
+        "q_order_estimate": trace.q_order_estimate,
+        "certificate": None if cert is None else cert.verdict,
+        "t_star": None if cert is None else cert.t_star,
+        "start_distance": report.start_distance,
+        "containment_ok": report.containment_ok,
+        "error_bounds_ok": None if bounds is None else bounds.all_ok,
+    }
+    if report.note:
+        summary["note"] = report.note
+    # the csv row is the summary without the certificate and the audit
+    header = ("converged", "stop_reason", "iterations", "final_residual",
+              "q_order_estimate", "start_distance", "containment_ok")
+    _emit(fmt, data, [header, [summary[k] for k in header]],
+          _human_lines(summary))
+    return 0 if trace.converged else 4
 
 
 # parse_args leaves the parser unchanged, so one parser serves every call

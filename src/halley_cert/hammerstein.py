@@ -48,8 +48,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._format import float_text
+from ._format import csv_text
 from .certificate import (
+    _BOUND_SLACK,
+    _NOISE_FLOOR,
     ConvergenceCertificate,
     ErrorBoundReport,
     kantorovich_certificate,
@@ -333,16 +335,10 @@ def table1(lambdas: Sequence[float] = (0.25, 0.5, 0.75, 1.0),
     return rows
 
 
-def _csv_number(x: float | None) -> str:
-    return "" if x is None else float_text(x)
-
-
 def table1_csv(rows: Sequence[Table1Row]) -> str:
-    lines = ["lambda,existence,uniqueness"]
-    for r in rows:
-        lines.append(",".join([_csv_number(r.lam), _csv_number(r.existence),
-                               _csv_number(r.uniqueness)]))
-    return "\n".join(lines) + "\n"
+    """The table as csv; an uncertified row has empty radii."""
+    return csv_text([("lambda", "existence", "uniqueness")]
+                    + [(r.lam, r.existence, r.uniqueness) for r in rows])
 
 
 @dataclass(frozen=True)
@@ -396,7 +392,7 @@ def solve_and_check(spec: HammersteinSpec, tol: float = 1e-12,
     limit = np.asarray(trace.iterates[-1], dtype=float)
     start_distance = vector_norm(limit - u0)
     radius = cert.t_star if cert is not None and cert.certified else 0.0
-    containment_ok = start_distance <= radius * (1.0 + 1e-8) + 1e-13
+    containment_ok = start_distance <= radius * _BOUND_SLACK + _NOISE_FLOOR
 
     bounds: ErrorBoundReport | None = None
     if cert is not None and cert.certified and trace.converged:

@@ -76,8 +76,9 @@ SMALE_CRITERION_BOUND = 3.0 - 2.0 * math.sqrt(2.0)
 # Points of the grid on which A2 is sampled when no closed form decides it.
 _A2_GRID_SIZE = 64
 
-# Entries kept by the roots cache: repeated inputs still hit it, while a
-# sweep over distinct inputs cannot grow it without bound.
+# Entries kept by the caches of the roots and of the minimum of h, which
+# roots() and a2_holds both read: repeated inputs still hit them, while a
+# sweep over distinct inputs cannot grow them without bound.
 _ROOTS_CACHE_SIZE = 1024
 
 
@@ -467,6 +468,7 @@ def _toward(t: float, bound: float) -> float:
     return min(2.0 * t, t + 0.5 * (bound - t))
 
 
+@lru_cache(maxsize=_ROOTS_CACHE_SIZE)
 def _minimum(h: MajorantFunction) -> float | None:
     """The zero of h' in (0, R), where h is least, or None where h' stays
     negative up to R.

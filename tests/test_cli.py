@@ -360,3 +360,167 @@ def test_mixed_lists_render_as_one_value_at_a_time(values):
                          st.none()), max_size=8))
 def test_keys_and_strings_render_as_json_dumps_writes_them(value):
     assert cli._render_json(value) == render_json_oracle(value)
+
+
+# The exact bytes the command line prints, pinned in every format for the
+# certificates and the table, and in human format for the solves: their
+# 17-digit json and csv residuals rest on the rounding of the linear solves.
+# The failed certificates print none for the radii, and the solves print a
+# note line.
+_GOLDEN = [
+    ('certificate kantorovich --beta 0.2 --eta 1.2 --lip 1.2 --seq-len 3 --format human', 0,
+     'kind: kantorovich\n'
+     'verdict: certified\n'
+     'criterion:\n'
+     '  lhs: 0.2\n'
+     '  rhs: 0.341859\n'
+     '  margin: 0.414964\n'
+     't_star: 0.236068\n'
+     'uniqueness_radius: 1\n'
+     'rate_constant: 1.96109\n'
+     'sequence: 0 0.227273 0.236067 0.236068\n'
+     'apriori_errors: 0.236068 0.00879525 9.67116e-07 2.77556e-17\n'),
+    ('certificate kantorovich --beta 0.2 --eta 1.2 --lip 1.2 --seq-len 3 --format json', 0,
+     '{"kind": "kantorovich", "verdict": "certified", '
+     '"criterion": {"lhs": 0.20000000000000001, '
+     '"rhs": 0.34185937264581562, "margin": 0.41496411681767581}, '
+     '"t_star": 0.23606797749978969, "uniqueness_radius": 1, '
+     '"rate_constant": 1.961093857666582, "sequence": [0, '
+     '0.22727272727272729, 0.23606701038357364, 0.23606797749978967], '
+     '"apriori_errors": [0.23606797749978969, 0.0087952502270624011, '
+     '9.6711621605516385e-07, 2.7755575615628914e-17]}\n'),
+    ('certificate kantorovich --beta 0.2 --eta 1.2 --lip 1.2 --seq-len 3 --format csv', 0,
+     'kind,verdict,criterion_lhs,criterion_rhs,t_star,uniqueness_radius,rate_constant\n'
+     'kantorovich,certified,0.20000000000000001,0.34185937264581562,'
+     '0.23606797749978969,1,1.961093857666582\n'),
+    ('certificate kantorovich --beta 0.4 --eta 1.2 --lip 1.2 --format human', 2,
+     'kind: kantorovich\n'
+     'verdict: criterion_failed\n'
+     'criterion:\n'
+     '  lhs: 0.4\n'
+     '  rhs: 0.341859\n'
+     '  margin: -0.170072\n'
+     't_star: none\n'
+     'uniqueness_radius: none\n'
+     'rate_constant: none\n'
+     'sequence: none\n'
+     'apriori_errors: none\n'),
+    ('certificate kantorovich --beta 0.4 --eta 1.2 --lip 1.2 --format json', 2,
+     '{"kind": "kantorovich", "verdict": "criterion_failed", '
+     '"criterion": {"lhs": 0.40000000000000002, "rhs": 0.34185937264581562, '
+     '"margin": -0.17007176636464832}, "t_star": null, "uniqueness_radius": null, '
+     '"rate_constant": null, "sequence": null, "apriori_errors": null}\n'),
+    ('certificate kantorovich --beta 0.4 --eta 1.2 --lip 1.2 --format csv', 2,
+     'kind,verdict,criterion_lhs,criterion_rhs,t_star,uniqueness_radius,rate_constant\n'
+     'kantorovich,criterion_failed,0.40000000000000002,0.34185937264581562,,,\n'),
+    ('certificate kantorovich --beta 0 --eta 1.2 --lip 1.2 --format human', 0,
+     'kind: kantorovich\n'
+     'verdict: certified\n'
+     'criterion:\n'
+     '  lhs: 0\n'
+     '  rhs: 0.341859\n'
+     '  margin: 1\n'
+     't_star: 0\n'
+     'uniqueness_radius: 1.19258\n'
+     'rate_constant: 0.746667\n'
+     'sequence: 0\n'
+     'apriori_errors: 0\n'),
+    ('certificate kantorovich --beta 0 --eta 1.2 --lip 1.2 --format json', 0,
+     '{"kind": "kantorovich", "verdict": "certified", "criterion": {"lhs": 0, '
+     '"rhs": 0.34185937264581562, "margin": 1}, "t_star": 0, '
+     '"uniqueness_radius": 1.1925824035672519, "rate_constant": 0.74666666666666659, '
+     '"sequence": [0], "apriori_errors": [0]}\n'),
+    ('certificate kantorovich --beta 0 --eta 1.2 --lip 1.2 --format csv', 0,
+     'kind,verdict,criterion_lhs,criterion_rhs,t_star,uniqueness_radius,rate_constant\n'
+     'kantorovich,certified,0,0.34185937264581562,0,1.1925824035672519,0.74666666666666659\n'),
+    ('certificate smale --beta 0.1 --gamma 0.5 --seq-len 3 --format human', 0,
+     'kind: smale\n'
+     'verdict: certified\n'
+     'criterion:\n'
+     '  lhs: 0.05\n'
+     '  rhs: 0.171573\n'
+     '  margin: 0.708579\n'
+     't_star: 0.105924\n'
+     'uniqueness_radius: 0.944076\n'
+     'rate_constant: 1.0581\n'
+     'sequence: 0 0.105263 0.105924 0.105924\n'
+     'apriori_errors: 0.105924 0.000660477 2.28105e-10 1.38778e-17\n'),
+    ('certificate smale --beta 0.1 --gamma 0.5 --seq-len 3 --format json', 0,
+     '{"kind": "smale", "verdict": "certified", '
+     '"criterion": {"lhs": 0.050000000000000003, '
+     '"rhs": 0.17157287525380971, "margin": 0.7085786437626902}, '
+     '"t_star": 0.10592363464399475, "uniqueness_radius": 0.94407636535600514, '
+     '"rate_constant": 1.0581017529772567, "sequence": [0, '
+     '0.10526315789473685, 0.10592363441588964, 0.10592363464399474], '
+     '"apriori_errors": [0.10592363464399475, 0.0006604767492578989, '
+     '2.2810510424964292e-10, 1.3877787807814457e-17]}\n'),
+    ('certificate smale --beta 0.1 --gamma 0.5 --seq-len 3 --format csv', 0,
+     'kind,verdict,criterion_lhs,criterion_rhs,t_star,uniqueness_radius,rate_constant\n'
+     'smale,certified,0.050000000000000003,0.17157287525380971,'
+     '0.10592363464399475,0.94407636535600514,1.0581017529772567\n'),
+    ('certificate smale --beta 1 --gamma 1 --format human', 2,
+     'kind: smale\n'
+     'verdict: criterion_failed\n'
+     'criterion:\n'
+     '  lhs: 1\n'
+     '  rhs: 0.171573\n'
+     '  margin: -4.82843\n'
+     't_star: none\n'
+     'uniqueness_radius: none\n'
+     'rate_constant: none\n'
+     'sequence: none\n'
+     'apriori_errors: none\n'),
+    ('certificate smale --beta 1 --gamma 1 --format json', 2,
+     '{"kind": "smale", "verdict": "criterion_failed", "criterion": {"lhs": 1, '
+     '"rhs": 0.17157287525380971, "margin": -4.828427124746197}, '
+     '"t_star": null, "uniqueness_radius": null, "rate_constant": null, '
+     '"sequence": null, "apriori_errors": null}\n'),
+    ('certificate smale --beta 1 --gamma 1 --format csv', 2,
+     'kind,verdict,criterion_lhs,criterion_rhs,t_star,uniqueness_radius,rate_constant\n'
+     'smale,criterion_failed,1,0.17157287525380971,,,\n'),
+    ('table1 --lambdas 0,0.5,1.2 --format human', 3,
+     '    lambda      existence     uniqueness\n'
+     '         0              0            inf\n'
+     '       0.5      0.0783777        2.35026\n'
+     '       1.2                 not certified\n'),
+    ('table1 --lambdas 0,0.5,1.2 --format json', 3,
+     '[{"lambda": 0, "existence": 0, "uniqueness": Infinity, '
+     '"certified": true}, {"lambda": 0.5, "existence": 0.078377745621778225, '
+     '"uniqueness": 2.3502617411332918, "certified": true}, '
+     '{"lambda": 1.2, "existence": null, "uniqueness": null, '
+     '"certified": false}]\n'),
+    ('table1 --lambdas 0,0.5,1.2 --format csv', 3,
+     'lambda,existence,uniqueness\n'
+     '0,0,inf\n'
+     '0.5,0.078377745621778225,2.3502617411332918\n'
+     '1.2,,\n'),
+    ('solve hammerstein --lambda 0 --nodes 8 --format human', 0,
+     'converged: true\n'
+     'stop_reason: residual_below_tol\n'
+     'iterations: 1\n'
+     'final_residual: 0\n'
+     'q_order_estimate: none\n'
+     'certificate: none\n'
+     't_star: none\n'
+     'start_distance: 0\n'
+     'containment_ok: true\n'
+     'error_bounds_ok: none\n'
+     'note: linear equation, the start point is the solution\n'),
+    ('solve hammerstein --lambda 0.5 --nodes 8 --power 4 --format human', 0,
+     'converged: true\n'
+     'stop_reason: residual_below_tol\n'
+     'iterations: 4\n'
+     'final_residual: 1.11022e-16\n'
+     'q_order_estimate: 2.98171\n'
+     'certificate: none\n'
+     't_star: none\n'
+     'start_distance: 0.079057\n'
+     'containment_ok: false\n'
+     'error_bounds_ok: none\n'
+     'note: no closed-form bounds for this forcing or power\n'),
+]
+
+
+@pytest.mark.parametrize("argv, code, stdout", _GOLDEN, ids=[g[0] for g in _GOLDEN])
+def test_golden_bytes(capsys, argv, code, stdout):
+    assert run_cli(capsys, argv.split()) == (code, stdout, "")

@@ -493,6 +493,18 @@ def test_closed_form_a2_skips_the_minimum_search_and_the_grid(monkeypatch):
         assert points == [0.0]
 
 
+def test_generic_check_assumptions_searches_the_minimum_once():
+    # fresh callables, so no cache entry left by another test answers for h
+    h = CallableMajorant(value_fn=lambda t: TABLE_CUBIC.value(t),
+                         deriv_fn=lambda t: TABLE_CUBIC.deriv(t),
+                         second_deriv_fn=lambda t: TABLE_CUBIC.second_deriv(t))
+    before = majorant._minimum.cache_info()
+    assert check_assumptions(h).all_hold
+    after = majorant._minimum.cache_info()
+    # roots() searches, a2_holds reads the same minimum back
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+
+
 def test_majorizing_sequence_frozen_table_run():
     seq = majorizing_sequence(TABLE_CUBIC, max_iters=10, tol=1e-12)
     assert seq.points[0] == 0.0

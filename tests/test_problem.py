@@ -339,6 +339,17 @@ def test_halley_solve_max_iters_stop():
     assert len(trace.iterates) == 2
 
 
+def test_halley_solve_step_below_tol_stop():
+    # F(x) = 1e6 (x - 1): the residual at the start, 1e-7, is above tol, the
+    # exact step of 1e-13 is below it
+    trace = halley_solve(linear_problem([[1e6]], [1e6]), np.array([1.0 + 1e-13]),
+                         tol=1e-12)
+    assert trace.stop_reason == "step_below_tol"
+    assert trace.converged
+    assert len(trace.iterates) == 2
+    assert trace.residual_norms[0] > 1e-12 >= trace.step_norms[0]
+
+
 def test_halley_solve_validation():
     p = scalar_sqrt2()
     with pytest.raises(ValueError):
