@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .majorant import (
     SMALE_CRITERION_BOUND,
@@ -26,7 +25,7 @@ from .majorant import (
     smallest_root,
     uniqueness_radius,
 )
-from .problem import NonlinearProblem, SolveTrace, _lu_factor_checked, vector_norm
+from .problem import NonlinearProblem, SolveTrace, _dense_factor, _errors_to_final
 
 __all__ = [
     "KantorovichInputs",
@@ -224,8 +223,9 @@ class InitialConditionsReport:
     """Comparison of measured start-point quantities against h(0) and h''(0).
 
     The bilinear norm of the scaled second derivative cannot be maximized
-    exactly, so ``second_norm`` is a sampled lower bound over sign-pattern
-    and random probe vectors; ``second_is_lower_bound`` records that.
+    exactly, so ``second_norm`` is a sampled lower bound over pairs of sign
+    vectors, one per sign class {v, -v}; ``second_is_lower_bound`` records
+    that.
     """
 
     residual_norm: float
@@ -242,21 +242,13 @@ class InitialConditionsReport:
 
 
 def _sign_probes(n: int) -> np.ndarray:
-    probes = [np.ones(n)]
-    alt = np.ones(n)
-    alt[1::2] = -1.0
-    probes.append(alt)
-    for j in range(n):
-        v = np.ones(n)
-        v[j] = -1.0
-        probes.append(v)
-        w = -np.ones(n)
-        w[j] = 1.0
-        probes.append(w)
+    """All ones, alternating signs, each single flip and 32 seeded random
+    sign vectors, one per class {v, -v}: the one whose first entry is +1."""
     rng = np.random.default_rng(0)
-    for _ in range(_RANDOM_PROBES):
-        probes.append(rng.choice([-1.0, 1.0], size=n))
-    return np.unique(np.array(probes), axis=0)
+    probes = np.vstack([np.ones(n), (-1.0) ** np.arange(n),
+                        1.0 - 2.0 * np.eye(n),
+                        rng.choice([-1.0, 1.0], size=(_RANDOM_PROBES, n))])
+    return np.unique(probes * probes[:, :1], axis=0)
 
 
 def check_initial_conditions(p: NonlinearProblem, x0,
@@ -266,20 +258,22 @@ def check_initial_conditions(p: NonlinearProblem, x0,
     The first quantity is computed exactly (one linear solve). The second is
     a bilinear operator norm estimated from below by probing; for the
     max-norm the extreme points of the unit ball are sign vectors, which is
-    why those are the probe set.
+    why those are the probe set. ``eval_second`` is bilinear and symmetric
+    (the contract of ``NonlinearProblem``), so the pairs (u, v), (-u, v)
+    and (v, u) have one norm: the probe set holds one vector per sign class
+    and each unordered pair is solved once, P (P + 1) / 2 solves for P
+    classes.
     """
     x0 = np.asarray(x0, dtype=float)
-    lu_piv = _lu_factor_checked(np.asarray(p.eval_jacobian(x0), dtype=float))
-    d = scipy.linalg.lu_solve(lu_piv, np.asarray(p.eval_f(x0), dtype=float))
-    residual_norm = p.vector_norm(d)
+    solve = _dense_factor(p.eval_jacobian(x0))
+    residual_norm = p.vector_norm(solve(np.asarray(p.eval_f(x0), dtype=float)))
     residual_bound = h.value(0.0)
 
     probes = _sign_probes(p.dim)
     best = 0.0
-    for u in probes:
-        for v in probes:
-            b_uv = scipy.linalg.lu_solve(
-                lu_piv, np.asarray(p.eval_second(x0, u, v), dtype=float))
+    for i, u in enumerate(probes):
+        for v in probes[i:]:
+            b_uv = solve(np.asarray(p.eval_second(x0, u, v), dtype=float))
             best = max(best, p.vector_norm(b_uv))
     second_bound = h.second_deriv(0.0)
     return InitialConditionsReport(
@@ -344,20 +338,18 @@ def verify_error_bound(trace: SolveTrace,
         raise ValueError(
             f"trace did not converge (stop reason {trace.stop_reason!r})")
 
-    xs = [np.asarray(x, dtype=float) for x in trace.iterates]
-    limit = xs[-1]
-    errors = [vector_norm(x - limit) for x in xs]
+    errors = _errors_to_final(trace)
 
     t_star = cert.t_star
     points = list(cert.sequence.points)
     # t* = 0 leaves every gap at 0, and h(0) = 0 fails A1, so no refresh
-    if len(points) < len(xs) and cert.majorant is not None and t_star > 0.0:
-        refreshed = majorizing_sequence(cert.majorant, max_iters=len(xs) + 1,
+    if len(points) < len(errors) and cert.majorant is not None and t_star > 0.0:
+        refreshed = majorizing_sequence(cert.majorant, max_iters=len(errors) + 1,
                                         tol=1e-16)
         points = list(refreshed.points)
     # Past float saturation of the scalar sequence the budget is exhausted.
     gaps = [t_star - points[k] if k < len(points) else 0.0
-            for k in range(len(xs))]
+            for k in range(len(errors))]
 
     if errors and errors[0] > t_star * _BOUND_SLACK and errors[0] > _NOISE_FLOOR:
         return ErrorBoundReport(
@@ -369,7 +361,7 @@ def verify_error_bound(trace: SolveTrace,
         )
 
     checks: list[ErrorBoundCheck] = []
-    for k in range(len(xs) - 1):
+    for k in range(len(errors) - 1):
         e_k = errors[k]
         gap_k = gaps[k]
         vacuous = e_k <= _NOISE_FLOOR

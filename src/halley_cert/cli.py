@@ -3,8 +3,9 @@
 Exit codes are a function of outcome class only:
 
     0  success (certified / converged / all table rows certified)
-    1  usage error (bad flags, malformed numbers, invalid env override) or
-       a typed package error (such as a majorant failing its assumptions)
+    1  usage error (bad flags, malformed numbers, invalid env override),
+       a typed package error (such as a majorant failing its assumptions),
+       or standard output closed before the result was written
     2  certificate criterion failed
     3  table contains at least one uncertified row
     4  solver did not converge
@@ -54,10 +55,22 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems as exceptions, not sys.exit(2)."""
+    """argparse that reports usage problems as exceptions, not sys.exit(2),
+    and reads a token that parses as a comma list of numbers, such as
+    -0.5,0.5, as a value rather than as an unknown option."""
 
     def error(self, message):
         raise _UsageError(message)
+
+    def _parse_optional(self, arg_string):
+        # every option but -h starts with "--", which no number does
+        if arg_string[:1] == "-" and arg_string[1:2] != "-":
+            try:
+                _parse_float_list(arg_string, "")
+                return None
+            except _UsageError:
+                pass
+        return super()._parse_optional(arg_string)
 
 
 def _render_json(value) -> str:
@@ -114,13 +127,15 @@ def _resolve_format(flag_value: str | None) -> str:
 
 
 def _emit(fmt: str, data, csv_rows, human_lines: list[str]) -> None:
-    """Print data as json, csv_rows (the header first) or human_lines."""
+    """Print data as json, csv_rows (the header first) or human_lines, and
+    flush, so that a closed stdout raises here rather than at exit."""
     if fmt == "json":
         print(_render_json(data))
     elif fmt == "csv":
         sys.stdout.write(csv_text(csv_rows))
     else:
         print("\n".join(human_lines))
+    sys.stdout.flush()
 
 
 def build_parser() -> _Parser:
@@ -291,6 +306,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         return cmd_solve(args)
     except (_UsageError, HalleyCertError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # Python flushes stdout once more at exit; pointing it at devnull
+        # keeps that flush from raising too (the SIGPIPE note of the signal
+        # module's docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: standard output was closed", file=sys.stderr)
         return 1
 
 

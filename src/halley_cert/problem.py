@@ -33,9 +33,9 @@ The recorded |L_F|, which the family also uses as its gate, is exact up to
 rounding on every path. Under a tridiagonal form it costs one more solve
 when a check in O(n) proves T^{-1} >= 0 entrywise and every column of
 S = A B has one sign: then |L_F| is the largest entry of T^{-1} (|S| 1) / 2.
-Otherwise, and on the dense path, it is the norm of the matrix
-L_F = (1/2) T^{-1} S from one n-right-hand-side solve, O(n^2) under the
-form.
+Otherwise the absolute row sums of T^{-1} S are summed over solves against
+fixed blocks of columns of S, O(n^2) time in O(n) memory. On the dense path
+it is the norm of the matrix L_F from one n-right-hand-side solve.
 """
 
 from __future__ import annotations
@@ -242,14 +242,17 @@ def _tridiagonal_factor(bands: np.ndarray) -> Callable[[np.ndarray], np.ndarray]
     return solve
 
 
-def _tridiagonal_dense(bands: np.ndarray) -> np.ndarray:
-    """The n-by-n matrix of (3, n) tridiagonal storage, in Fortran order."""
+def _tridiagonal_dense(bands: np.ndarray, start: int = 0,
+                       stop: int | None = None) -> np.ndarray:
+    """Columns start to stop - 1 of the n-by-n matrix of (3, n) tridiagonal
+    storage, all of them by default, in Fortran order."""
     n = bands.shape[1]
-    a = np.zeros((n, n), order="F")
-    i = np.arange(n)
-    a[i, i] = bands[1]
-    a[i[:-1], i[1:]] = bands[0, 1:]
-    a[i[1:], i[:-1]] = bands[2, :-1]
+    j = np.arange(n)[start:stop]
+    a = np.zeros((n, j.size), order="F")
+    a[j, j - start] = bands[1, j]
+    up, down = j[j > 0], j[j < n - 1]
+    a[up - 1, up - start] = bands[0, up]
+    a[down + 1, down - start] = bands[2, down]
     return a
 
 
@@ -317,6 +320,10 @@ def _one_solve_lf_norm(jac: np.ndarray, second: np.ndarray,
     return 0.5 * float(solve(_band_matvec(np.abs(second), ones)).max())
 
 
+# columns of T^{-1} S per solve when |L_F| is summed without the matrix
+_LF_BLOCK = 64
+
+
 class _Step:
     """The step systems at x with F(x) = fx: A F'(x), factored, the Newton
     direction d, A B with B = F''(x)[., d], and A F(x).
@@ -324,7 +331,7 @@ class _Step:
     A is the problem's premultiplier under its tridiagonal form, with both
     matrices in (3, n) storage and gttrf factorizations, and the identity
     otherwise (dense LU). L_F = (1/2) (A F'(x))^{-1} (A B) is formed only
-    by ``lf`` and by the fallback of ``lf_norm``.
+    by ``lf`` and by ``lf_norm`` on the dense path.
     """
 
     def __init__(self, p: NonlinearProblem, x: np.ndarray, fx: np.ndarray):
@@ -353,13 +360,21 @@ class _Step:
                                 else self.second)
 
     def lf_norm(self) -> float:
-        """|L_F|: one more solve where _one_solve_lf_norm proves it, else
-        from the matrix."""
-        if self.banded:
-            norm = _one_solve_lf_norm(self.jac, self.second, self.solve)
-            if norm is not None:
-                return norm
-        return NonlinearProblem.matrix_norm(self.lf())
+        """|L_F|: from the matrix on the dense path. Under the tridiagonal
+        form, one more solve where _one_solve_lf_norm proves it, else the
+        absolute row sums of T^{-1} S summed over blocks of _LF_BLOCK
+        columns, in O(n) memory."""
+        if not self.banded:
+            return NonlinearProblem.matrix_norm(self.lf())
+        norm = _one_solve_lf_norm(self.jac, self.second, self.solve)
+        if norm is not None:
+            return norm
+        n = self.d.size
+        row_sums = np.zeros(n)
+        for start in range(0, n, _LF_BLOCK):
+            block = _tridiagonal_dense(self.second, start, start + _LF_BLOCK)
+            row_sums += np.abs(self.solve(block)).sum(axis=1)
+        return 0.5 * float(row_sums.max())
 
     def halley(self) -> np.ndarray:
         """The Halley correction: (A F'(x) - A B / 2) y = A F(x), the same
@@ -518,6 +533,12 @@ def family_solve(p: NonlinearProblem, x0, coeffs: Sequence[float],
     return _solve_loop(p, x0, tol, max_iters, coeffs=_validate_family(coeffs))
 
 
+def _errors_to_final(trace: SolveTrace) -> list[float]:
+    """|x_k - x_final| for every iterate x_k of the trace, the last one 0."""
+    xs = [np.asarray(x, dtype=float) for x in trace.iterates]
+    return [vector_norm(x - xs[-1]) for x in xs]
+
+
 def estimate_q_order(trace: SolveTrace) -> float | None:
     """Least-squares estimate of the convergence order from a trace.
 
@@ -526,12 +547,10 @@ def estimate_q_order(trace: SolveTrace) -> float | None:
     100 * machine epsilon (scaled by the limit) are noise and are dropped.
     Returns None when fewer than four iterates or two usable pairs remain.
     """
-    xs = [np.asarray(x, dtype=float) for x in trace.iterates]
-    if len(xs) < 4:
+    if len(trace.iterates) < 4:
         return None
-    limit = xs[-1]
-    errors = [vector_norm(x - limit) for x in xs[:-1]]
-    floor = 100.0 * np.finfo(float).eps * max(1.0, vector_norm(limit))
+    errors = _errors_to_final(trace)[:-1]
+    floor = 100.0 * np.finfo(float).eps * max(1.0, vector_norm(trace.iterates[-1]))
     pairs = [(math.log(a), math.log(b))
              for a, b in zip(errors, errors[1:])
              if a > floor and b > floor]

@@ -1,11 +1,13 @@
 """Certificate-layer tests: criteria, radii, schedules, audits, JSON."""
 
+import dataclasses
 import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from halley_cert import (
     AssumptionError,
@@ -17,12 +19,14 @@ from halley_cert import (
     SolveTrace,
     analytic_bounds,
     check_initial_conditions,
+    discretize,
     halley_solve,
     kantorovich_certificate,
     smale_certificate,
     solve_and_check,
     verify_error_bound,
 )
+from halley_cert import certificate
 from halley_cert.majorant import CubicMajorant, SmaleMajorant
 from helpers import (
     linear_problem,
@@ -289,6 +293,66 @@ def test_check_initial_conditions_scalar():
     assert not rep2.residual_ok
     assert rep2.second_ok
     assert not rep2.both_hold
+
+
+def _ordered_pair_audit(p, x0):
+    """(residual_norm, second_norm) as the audit once found them: 2n + 34
+    probes, each single flip with both signs, and every ordered pair."""
+    n = p.dim
+    alt = np.ones(n)
+    alt[1::2] = -1.0
+    probes = [np.ones(n), alt]
+    for j in range(n):
+        v = np.ones(n)
+        v[j] = -1.0
+        probes += [v, -v]
+    rng = np.random.default_rng(0)
+    probes += [rng.choice([-1.0, 1.0], size=n) for _ in range(32)]
+    probes = np.unique(np.array(probes), axis=0)
+    lu_piv = scipy.linalg.lu_factor(p.eval_jacobian(x0))
+    residual = np.max(np.abs(scipy.linalg.lu_solve(lu_piv, p.eval_f(x0))))
+    best = 0.0
+    for u in probes:
+        for v in probes:
+            b_uv = scipy.linalg.lu_solve(lu_piv, p.eval_second(x0, u, v))
+            best = max(best, np.max(np.abs(b_uv)))
+    return float(residual), float(best)
+
+
+def _audit_cases():
+    for n in (8, 16):
+        wavy = 1.0 + 0.1 * np.sin(np.arange(n))
+        for power in (3, 4):
+            for x0 in (np.ones(n), wavy):
+                yield discretize(HammersteinSpec(lam=1.0, power=power, nodes=n)), x0
+    yield linear_problem(np.array([[4.0, 1.0], [0.0, 5.0]]), np.array([1.0, 2.0])), np.zeros(2)
+    yield scalar_sqrt2(), np.array([1.0])
+    yield scalar_sqrt2(), np.array([1.3])
+
+
+def test_unordered_sign_classes_give_the_ordered_pair_norms():
+    # F'' is bilinear and symmetric, so (u, v), (-u, v) and (v, u) share a
+    # norm, and one pair per sign class finds the same maximum bit for bit
+    for p, x0 in _audit_cases():
+        report = check_initial_conditions(p, x0, TABLE_INPUTS)
+        assert (report.residual_norm, report.second_norm) == _ordered_pair_audit(p, x0)
+
+
+def test_audit_solves_each_unordered_probe_pair_once():
+    n = 24
+    p = discretize(HammersteinSpec(lam=1.0, nodes=n))
+    calls = []
+
+    def counted(x, u, v):
+        calls.append(1)
+        return p.eval_second(x, u, v)
+
+    check_initial_conditions(dataclasses.replace(p, eval_second=counted),
+                             np.ones(n), TABLE_INPUTS)
+    probes = certificate._sign_probes(n)
+    # one vector per class {v, -v}: 1, the alternation, n flips, 32 random
+    assert (probes[:, 0] == 1.0).all() and len(probes) == 58
+    assert len(calls) == 58 * 59 // 2 == 1711
 
 
 def test_verify_error_bound_passes_on_covered_trace():

@@ -147,6 +147,18 @@ def test_table1_rejects_malformed_lambdas(capsys):
     assert rc3 == 1
 
 
+@pytest.mark.parametrize("fmt", ["human", "json", "csv"])
+def test_leading_negative_numbers_are_values(capsys, fmt):
+    # argparse would read -0.5,0.5 as an unknown option; as a list of
+    # numbers it is the flag's value, as with --lambdas=-0.5,0.5
+    for flag, value, rest in (("--lambdas", "-0.5,0.5", ["table1"]),
+                              ("--lambda", "-5e-1", ["solve", "hammerstein"])):
+        spaced = run_cli(capsys, rest + [flag, value, "--format", fmt])
+        joined = run_cli(capsys, rest + [f"{flag}={value}", "--format", fmt])
+        assert spaced == joined
+        assert spaced[0] == 0 and spaced[2] == ""
+
+
 def test_solve_reference_instance_json(capsys):
     rc, out, _ = run_cli(capsys, ["solve", "hammerstein", "--lambda", "1",
                                   "--format", "json"])
@@ -260,13 +272,13 @@ def test_format_env_override_and_flag_precedence(capsys, monkeypatch):
     assert rc4 == 0
 
 
-def run_module(argv):
+def run_module(argv, stdout=subprocess.PIPE):
     """python -m halley_cert.cli in a fresh interpreter, with the package
     source first on its path."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "halley_cert.cli", *argv],
-                          env=dict(os.environ, PYTHONPATH=path),
-                          capture_output=True, text=True, timeout=120)
+                          env=dict(os.environ, PYTHONPATH=path), stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=120)
 
 
 def test_module_entry_point_subprocess():
@@ -291,6 +303,23 @@ def test_typed_errors_exit_1_without_traceback(beta, eta, lip):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    "solve hammerstein --lambda 0.5 --nodes 8 --power 4 --format json",
+    "table1 --format csv",
+])
+def test_closed_stdout_exits_1_without_traceback(argv):
+    # the read end is closed before the child starts, so its first write
+    # fails, and so would the flush at interpreter exit
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = run_module(argv.split(), stdout=write)
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: standard output was closed\n"
 
 
 def test_smale_radii_near_the_float_maximum_do_not_hang():
@@ -515,7 +544,7 @@ _GOLDEN = [
      'certificate: none\n'
      't_star: none\n'
      'start_distance: 0.079057\n'
-     'containment_ok: false\n'
+     'containment_ok: none\n'
      'error_bounds_ok: none\n'
      'note: no closed-form bounds for this forcing or power\n'),
 ]

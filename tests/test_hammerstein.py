@@ -303,6 +303,27 @@ def test_large_solves_hold_no_dense_matrix():
     assert report.error_bounds.all_ok
 
 
+def test_lf_norm_fallback_holds_no_dense_matrix():
+    # the third Halley step from u = 1 at lam = 2, power 4: the one-solve
+    # |L_F| is not proven there, and one n-by-n array would be 128 MB
+    n = 4000
+    p = discretize(HammersteinSpec(lam=2.0, power=4, nodes=n))
+    u = np.ones(n)
+    for _ in range(2):
+        u = halley_step(p, u)
+    step = problem._Step(p, u, p.eval_f(u))
+    assert problem._one_solve_lf_norm(step.jac, step.second, step.solve) is None
+    tracemalloc.start()
+    try:
+        norm = step.lf_norm()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n   # an eighth of one n-by-n array
+    dense = p.matrix_norm(step.lf())
+    assert abs(norm - dense) <= 1e-14 * dense
+
+
 @pytest.mark.parametrize("lam", [1e-120, 1e-160, 4.04e-254, 1e-310])
 def test_tiny_couplings_certify(lam):
     beta, eta, lip = analytic_bounds(lam)
@@ -438,7 +459,7 @@ def test_solve_and_check_zero_coupling():
     assert len(report.trace.iterates) == 1
     assert report.certificate is None
     assert report.start_distance == 0.0
-    assert report.containment_ok
+    assert report.containment_ok is True
     assert "linear" in report.note
 
 
@@ -447,7 +468,7 @@ def test_solve_and_check_beyond_criterion():
     assert report.trace.converged
     assert report.certificate is not None
     assert not report.certificate.certified
-    assert not report.containment_ok
+    assert report.containment_ok is None
     assert report.error_bounds is None
     assert "criterion failed" in report.note
 
@@ -457,11 +478,13 @@ def test_solve_and_check_without_closed_form():
         HammersteinSpec(lam=0.5, nodes=16, forcing=lambda s: 1.0 + 0.1 * s))
     assert bumpy.trace.converged
     assert bumpy.certificate is None
+    assert bumpy.containment_ok is None
     assert "no closed-form bounds" in bumpy.note
 
     square = solve_and_check(HammersteinSpec(lam=0.5, nodes=16, power=2))
     assert square.trace.converged
     assert square.certificate is None
+    assert square.containment_ok is None
 
 
 def test_solution_matches_across_literal_grid_refinement():
