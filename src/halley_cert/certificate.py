@@ -44,8 +44,6 @@ __all__ = [
 _DEFAULT_SEQ_TOL = 1e-12
 _BOUND_SLACK = 1.0 + 1e-8
 _NOISE_FLOOR = 1e-13
-# seeded random sign vectors added to the structured probes
-_RANDOM_PROBES = 32
 
 
 # The start-point data are the coefficients of the majorant h they define,
@@ -142,59 +140,31 @@ class ConvergenceCertificate:
         )
 
 
-def _trivial_sequence(t_star: float) -> MajorizingSequence:
-    return MajorizingSequence(points=(0.0,), t_star=t_star,
-                              gaps=(t_star - 0.0,), converged_at=0)
-
-
-def _certified(kind: str, lhs: float, rhs: float, h: MajorantFunction,
-               seq_len: int) -> ConvergenceCertificate:
-    t_star = smallest_root(h)
-    t_out = uniqueness_radius(h)
-    rate = h.rate_constant()
-    if t_star <= 0.0:
-        # beta = 0: the start point already solves the system and the
-        # majorizing sequence never leaves the origin.
-        seq = _trivial_sequence(t_star)
-    else:
-        seq = majorizing_sequence(h, max_iters=seq_len, tol=_DEFAULT_SEQ_TOL)
-    return ConvergenceCertificate(
-        majorant_kind=kind,
-        verdict="certified",
-        criterion_lhs=lhs,
-        criterion_rhs=rhs,
-        t_star=t_star,
-        uniqueness_radius=t_out,
-        rate_constant=rate,
-        sequence=seq,
-        majorant=h,
-    )
-
-
-def _failed(kind: str, lhs: float, rhs: float,
-            h: MajorantFunction | None) -> ConvergenceCertificate:
-    return ConvergenceCertificate(
-        majorant_kind=kind,
-        verdict="criterion_failed",
-        criterion_lhs=lhs,
-        criterion_rhs=rhs,
-        t_star=None,
-        uniqueness_radius=None,
-        rate_constant=None,
-        sequence=None,
-        majorant=h,
-    )
-
-
 def _certificate(kind: str, h: MajorantFunction, lhs: float, rhs: float,
                  seq_len: int) -> ConvergenceCertificate:
     """Certified iff lhs < rhs strictly; a failed criterion carries only its
     two sides and h."""
     if seq_len < 1:
         raise ValueError(f"seq_len must be at least 1, got {seq_len}")
-    if lhs < rhs:
-        return _certified(kind, lhs, rhs, h, seq_len)
-    return _failed(kind, lhs, rhs, h)
+    if not lhs < rhs:
+        return ConvergenceCertificate(
+            majorant_kind=kind, verdict="criterion_failed", criterion_lhs=lhs,
+            criterion_rhs=rhs, t_star=None, uniqueness_radius=None,
+            rate_constant=None, sequence=None, majorant=h)
+    t_star = smallest_root(h)
+    t_out = uniqueness_radius(h)
+    rate = h.rate_constant()
+    if t_star <= 0.0:
+        # beta = 0: the start point already solves the system and the
+        # majorizing sequence never leaves the origin.
+        seq = MajorizingSequence(points=(0.0,), t_star=t_star, gaps=(t_star,),
+                                 converged_at=0)
+    else:
+        seq = majorizing_sequence(h, max_iters=seq_len, tol=_DEFAULT_SEQ_TOL)
+    return ConvergenceCertificate(
+        majorant_kind=kind, verdict="certified", criterion_lhs=lhs,
+        criterion_rhs=rhs, t_star=t_star, uniqueness_radius=t_out,
+        rate_constant=rate, sequence=seq, majorant=h)
 
 
 def kantorovich_certificate(inputs: KantorovichInputs,
@@ -222,10 +192,11 @@ def smale_certificate(inputs: SmaleInputs,
 class InitialConditionsReport:
     """Comparison of measured start-point quantities against h(0) and h''(0).
 
-    The bilinear norm of the scaled second derivative cannot be maximized
-    exactly, so ``second_norm`` is a sampled lower bound over pairs of sign
-    vectors, one per sign class {v, -v}; ``second_is_lower_bound`` records
-    that.
+    ``second_norm`` is max_i sum_{j,k} |(F'(x0)^{-1} F''(x0)[e_j, e_k])_i|.
+    It bounds the bilinear norm of F'(x0)^{-1} F''(x0) from above, up to the
+    rounding of the solves, and equals it where F'' is diagonal in (j, k),
+    so ``second_is_lower_bound`` is always False. It costs n^2
+    ``eval_second`` calls and n solves (see :func:`check_initial_conditions`).
     """
 
     residual_norm: float
@@ -234,55 +205,45 @@ class InitialConditionsReport:
     second_norm: float
     second_bound: float
     second_ok: bool
-    second_is_lower_bound: bool = True
+    second_is_lower_bound: bool = False
 
     @property
     def both_hold(self) -> bool:
         return self.residual_ok and self.second_ok
 
 
-def _sign_probes(n: int) -> np.ndarray:
-    """All ones, alternating signs, each single flip and 32 seeded random
-    sign vectors, one per class {v, -v}: the one whose first entry is +1."""
-    rng = np.random.default_rng(0)
-    probes = np.vstack([np.ones(n), (-1.0) ** np.arange(n),
-                        1.0 - 2.0 * np.eye(n),
-                        rng.choice([-1.0, 1.0], size=(_RANDOM_PROBES, n))])
-    return np.unique(probes * probes[:, :1], axis=0)
-
-
 def check_initial_conditions(p: NonlinearProblem, x0,
                              h: MajorantFunction) -> InitialConditionsReport:
     """Check |F'(x0)^{-1} F(x0)| <= h(0) and |F'(x0)^{-1} F''(x0)| <= h''(0).
 
-    The first quantity is computed exactly (one linear solve). The second is
-    a bilinear operator norm estimated from below by probing; for the
-    max-norm the extreme points of the unit ball are sign vectors, which is
-    why those are the probe set. ``eval_second`` is bilinear and symmetric
-    (the contract of ``NonlinearProblem``), so the pairs (u, v), (-u, v)
-    and (v, u) have one norm: the probe set holds one vector per sign class
-    and each unordered pair is solved once, P (P + 1) / 2 solves for P
-    classes.
+    The first quantity takes one linear solve. For the second, with
+    C[i, j, k] = (F'(x0)^{-1} F''(x0)[e_j, e_k])_i, the triangle inequality
+    gives sup over |u|, |v| <= 1 of |F'(x0)^{-1} F''(x0)[u, v]| <=
+    max_i sum_{j,k} |C[i, j, k]|, and that sum is reported. It is an upper
+    bound up to the rounding of the solves, and the exact norm when F'' is
+    diagonal in (j, k), as for the Hammerstein system. It costs n^2 calls to
+    ``eval_second`` and n solves with n right-hand sides each, one per e_j,
+    against one factorization of F'(x0). x0 must have ``p.dim`` entries.
     """
-    x0 = np.asarray(x0, dtype=float)
+    x0 = np.asarray(x0, dtype=float).reshape(p.dim)
     solve = _dense_factor(p.eval_jacobian(x0))
     residual_norm = p.vector_norm(solve(np.asarray(p.eval_f(x0), dtype=float)))
     residual_bound = h.value(0.0)
 
-    probes = _sign_probes(p.dim)
-    best = 0.0
-    for i, u in enumerate(probes):
-        for v in probes[i:]:
-            b_uv = solve(np.asarray(p.eval_second(x0, u, v), dtype=float))
-            best = max(best, p.vector_norm(b_uv))
+    units = np.eye(p.dim)
+    row_sums = np.zeros(p.dim)
+    for u in units:
+        block = np.array([p.eval_second(x0, u, v) for v in units], dtype=float).T
+        row_sums += np.abs(solve(block)).sum(axis=1)
+    second_norm = float(row_sums.max())
     second_bound = h.second_deriv(0.0)
     return InitialConditionsReport(
         residual_norm=float(residual_norm),
         residual_bound=float(residual_bound),
         residual_ok=residual_norm <= residual_bound * _BOUND_SLACK,
-        second_norm=float(best),
+        second_norm=second_norm,
         second_bound=float(second_bound),
-        second_ok=best <= second_bound * _BOUND_SLACK,
+        second_ok=second_norm <= second_bound * _BOUND_SLACK,
     )
 
 

@@ -545,9 +545,10 @@ def estimate_q_order(trace: SolveTrace) -> float | None:
     Treats the final iterate as the limit, forms errors e_k for the earlier
     iterates and fits log e_{k+1} against log e_k. Errors at or below
     100 * machine epsilon (scaled by the limit) are noise and are dropped.
-    Returns None when fewer than four iterates or two usable pairs remain.
+    Returns None for a trace that did not converge, whose last iterate is
+    no limit, and when fewer than four iterates or two usable pairs remain.
     """
-    if len(trace.iterates) < 4:
+    if not trace.converged or len(trace.iterates) < 4:
         return None
     errors = _errors_to_final(trace)[:-1]
     floor = 100.0 * np.finfo(float).eps * max(1.0, vector_norm(trace.iterates[-1]))

@@ -1,19 +1,24 @@
 """Certificate-layer tests: criteria, radii, schedules, audits, JSON."""
 
 import dataclasses
+import itertools
 import json
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from halley_cert import (
     AssumptionError,
     ConvergenceCertificate,
     HammersteinSpec,
     KantorovichInputs,
+    NonlinearProblem,
     SMALE_CRITERION_BOUND,
     SmaleInputs,
     SolveTrace,
@@ -22,11 +27,11 @@ from halley_cert import (
     discretize,
     halley_solve,
     kantorovich_certificate,
+    second_derivative_from_tensor,
     smale_certificate,
     solve_and_check,
     verify_error_bound,
 )
-from halley_cert import certificate
 from halley_cert.majorant import CubicMajorant, SmaleMajorant
 from helpers import (
     linear_problem,
@@ -269,7 +274,7 @@ def test_check_initial_conditions_linear_problem():
     report = check_initial_conditions(p, np.zeros(2), h)
     assert report.residual_norm == pytest.approx(np.max(np.abs(d)), rel=1e-14)
     assert report.second_norm == 0.0
-    assert report.second_is_lower_bound
+    assert not report.second_is_lower_bound
     assert report.both_hold
 
     tight = CubicMajorant(beta=np.max(np.abs(d)) * 0.5, eta=1.0, lip=1.0)
@@ -295,64 +300,78 @@ def test_check_initial_conditions_scalar():
     assert not rep2.both_hold
 
 
-def _ordered_pair_audit(p, x0):
-    """(residual_norm, second_norm) as the audit once found them: 2n + 34
-    probes, each single flip with both signs, and every ordered pair."""
+def test_check_initial_conditions_rejects_a_start_point_of_the_wrong_size():
+    with pytest.raises(ValueError):
+        check_initial_conditions(scalar_sqrt2(), np.array([1.0, 7.0]), TABLE_INPUTS)
+
+
+def _exact_second_norm(p, x0):
+    """sup over |u|, |v| <= 1 of |F'(x0)^{-1} F''(x0)[u, v]| in the max norm:
+    max_i max over sign vectors u of sum_k |sum_j C_ijk u_j| with
+    C = F'(x0)^{-1} F''(x0), by enumerating all 2^n sign vectors."""
     n = p.dim
-    alt = np.ones(n)
-    alt[1::2] = -1.0
-    probes = [np.ones(n), alt]
-    for j in range(n):
-        v = np.ones(n)
-        v[j] = -1.0
-        probes += [v, -v]
-    rng = np.random.default_rng(0)
-    probes += [rng.choice([-1.0, 1.0], size=n) for _ in range(32)]
-    probes = np.unique(np.array(probes), axis=0)
-    lu_piv = scipy.linalg.lu_factor(p.eval_jacobian(x0))
-    residual = np.max(np.abs(scipy.linalg.lu_solve(lu_piv, p.eval_f(x0))))
-    best = 0.0
-    for u in probes:
-        for v in probes:
-            b_uv = scipy.linalg.lu_solve(lu_piv, p.eval_second(x0, u, v))
-            best = max(best, np.max(np.abs(b_uv)))
-    return float(residual), float(best)
+    units = np.eye(n)
+    c = np.array([[np.linalg.solve(p.eval_jacobian(x0), p.eval_second(x0, u, v))
+                   for v in units] for u in units])           # c[j, k, i]
+    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
+    return float(np.abs(np.einsum("sj,jki->sik", signs, c)).sum(axis=2).max())
 
 
-def _audit_cases():
-    for n in (8, 16):
-        wavy = 1.0 + 0.1 * np.sin(np.arange(n))
-        for power in (3, 4):
-            for x0 in (np.ones(n), wavy):
-                yield discretize(HammersteinSpec(lam=1.0, power=power, nodes=n)), x0
-    yield linear_problem(np.array([[4.0, 1.0], [0.0, 5.0]]), np.array([1.0, 2.0])), np.zeros(2)
-    yield scalar_sqrt2(), np.array([1.0])
-    yield scalar_sqrt2(), np.array([1.3])
+def _tensor_problem(rng, n, diagonal):
+    tensor = rng.standard_normal((n, n, n))
+    if diagonal:
+        tensor *= np.eye(n)[None, :, :]
+    tensor = (tensor + tensor.transpose(0, 2, 1)) / 2.0
+    jac = rng.standard_normal((n, n)) + 2.0 * n * np.eye(n)
+    return NonlinearProblem(dim=n, eval_f=lambda x: jac @ x,
+                            eval_jacobian=lambda x: jac,
+                            eval_second=second_derivative_from_tensor(tensor))
 
 
-def test_unordered_sign_classes_give_the_ordered_pair_norms():
-    # F'' is bilinear and symmetric, so (u, v), (-u, v) and (v, u) share a
-    # norm, and one pair per sign class finds the same maximum bit for bit
-    for p, x0 in _audit_cases():
-        report = check_initial_conditions(p, x0, TABLE_INPUTS)
-        assert (report.residual_norm, report.second_norm) == _ordered_pair_audit(p, x0)
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), diagonal=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_tensor_sum_bounds_the_second_derivative_norm(n, diagonal, seed):
+    p = _tensor_problem(np.random.default_rng(seed), n, diagonal)
+    x0 = np.zeros(n)
+    report = check_initial_conditions(p, x0, TABLE_INPUTS)
+    exact = _exact_second_norm(p, x0)
+    # an upper bound up to the rounding of the solves, and the norm itself
+    # where F'' is diagonal in (j, k)
+    assert report.second_norm >= exact * (1.0 - 1e-13)
+    if diagonal:
+        assert report.second_norm == pytest.approx(exact, rel=1e-13)
+    assert not report.second_is_lower_bound
 
 
-def test_audit_solves_each_unordered_probe_pair_once():
+@pytest.mark.parametrize("lam, power", [(1.0, 3), (1.15, 4), (-0.8, 2)])
+def test_tensor_sum_is_the_exact_norm_for_hammerstein(lam, power):
+    p = discretize(HammersteinSpec(lam=lam, power=power, nodes=8))
+    x0 = np.linspace(0.5, 1.2, 8)
+    report = check_initial_conditions(p, x0, TABLE_INPUTS)
+    assert report.second_norm == pytest.approx(_exact_second_norm(p, x0), rel=1e-13)
+
+
+def test_audit_makes_n_squared_second_calls_and_n_block_solves():
     n = 24
     p = discretize(HammersteinSpec(lam=1.0, nodes=n))
-    calls = []
+    calls, widths = [], []
 
     def counted(x, u, v):
         calls.append(1)
         return p.eval_second(x, u, v)
 
-    check_initial_conditions(dataclasses.replace(p, eval_second=counted),
-                             np.ones(n), TABLE_INPUTS)
-    probes = certificate._sign_probes(n)
-    # one vector per class {v, -v}: 1, the alternation, n flips, 32 random
-    assert (probes[:, 0] == 1.0).all() and len(probes) == 58
-    assert len(calls) == 58 * 59 // 2 == 1711
+    lu_solve = scipy.linalg.lu_solve
+
+    def counted_solve(lu_piv, b):
+        widths.append(1 if b.ndim == 1 else b.shape[1])
+        return lu_solve(lu_piv, b)
+
+    with mock.patch.object(scipy.linalg, "lu_solve", counted_solve):
+        check_initial_conditions(dataclasses.replace(p, eval_second=counted),
+                                 np.ones(n), TABLE_INPUTS)
+    assert len(calls) == n * n
+    # the residual, then one n-column block per unit vector e_j
+    assert widths == [1] + [n] * n
 
 
 def test_verify_error_bound_passes_on_covered_trace():

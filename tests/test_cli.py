@@ -395,7 +395,7 @@ def test_keys_and_strings_render_as_json_dumps_writes_them(value):
 # certificates and the table, and in human format for the solves: their
 # 17-digit json and csv residuals rest on the rounding of the linear solves.
 # The failed certificates print none for the radii, and the solves print a
-# note line.
+# note line. A solve that stops without converging has no order estimate.
 _GOLDEN = [
     ('certificate kantorovich --beta 0.2 --eta 1.2 --lip 1.2 --seq-len 3 --format human', 0,
      'kind: kantorovich\n'
@@ -544,6 +544,18 @@ _GOLDEN = [
      'certificate: none\n'
      't_star: none\n'
      'start_distance: 0.079057\n'
+     'containment_ok: none\n'
+     'error_bounds_ok: none\n'
+     'note: no closed-form bounds for this forcing or power\n'),
+    ('solve hammerstein --lambda 2 --power 4 --nodes 64 --max-iters 3', 4,
+     'converged: false\n'
+     'stop_reason: max_iters\n'
+     'iterations: 4\n'
+     'final_residual: 2.46258\n'
+     'q_order_estimate: none\n'
+     'certificate: none\n'
+     't_star: none\n'
+     'start_distance: 1.43673\n'
      'containment_ok: none\n'
      'error_bounds_ok: none\n'
      'note: no closed-form bounds for this forcing or power\n'),

@@ -19,15 +19,19 @@ def test_exports_are_the_union_of_the_submodules():
         assert getattr(halley_cert, name) is not None
 
 
-# Installs the bench wrappers and runs one certificate of each kind and one
-# json solve under them. rate_constant is inherited by both majorants and
-# wrapped on each subclass, so each certificate must record its own span;
+# Installs the bench wrappers and runs one certificate of each kind, one
+# start-point audit and one json solve under them. rate_constant is
+# inherited by both majorants and wrapped on each subclass, so each
+# certificate must record its own span; the certificates must enter the
+# root, schedule and assumption spans that certify-sweep times; the audit
+# must record its eval_second and lu_solve leaf calls under its own span;
 # the solve must pass through every layer the solve workload times.
 _TRACED_RUN = """
 import contextlib
 import io
+import numpy as np
 import tracing
-from halley_cert import certificate, cli
+from halley_cert import certificate, cli, hammerstein
 tracer = tracing.Tracer()
 tracing.install(tracer)
 tracer.active = True
@@ -35,6 +39,16 @@ certificate.kantorovich_certificate(certificate.KantorovichInputs(0.2, 1.2, 1.2)
 certificate.smale_certificate(certificate.SmaleInputs(0.1, 0.5))
 names = [rec[3] for rec in tracer.spans]
 assert names.count("majorant.rate_constant") == 2, names
+majorant_path = {"majorant.smallest_root", "majorant.uniqueness_radius",
+                 "majorant.majorizing_sequence", "majorant.check_assumptions"}
+assert majorant_path <= set(names), sorted(majorant_path - set(names))
+
+p = hammerstein.discretize(hammerstein.HammersteinSpec(lam=1.0, nodes=8))
+certificate.check_initial_conditions(p, np.ones(8),
+                                     certificate.KantorovichInputs(0.2, 1.2, 1.2))
+totals = tracer.totals()
+for leaf in ("lu_solve", "eval_second"):
+    assert totals.get(f"certificate.check_initial_conditions/{leaf}.calls", 0) > 0, leaf
 
 del tracer.spans[:]
 with contextlib.redirect_stdout(io.StringIO()):

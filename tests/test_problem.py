@@ -439,6 +439,14 @@ def test_estimate_q_order_needs_enough_signal():
     assert estimate_q_order(short) is None
 
 
+def test_estimate_q_order_needs_a_converged_trace():
+    # the last iterate of a stop that did not converge is no limit
+    trace = halley_solve(scalar_sqrt2(), np.array([1.0]), tol=1e-12)
+    assert estimate_q_order(trace) is not None
+    for reason in STOP_REASONS - {"residual_below_tol", "step_below_tol"}:
+        assert estimate_q_order(dataclasses.replace(trace, stop_reason=reason)) is None
+
+
 def test_trace_json_iterates_are_python_floats():
     p, x0 = quadratic_problem(np.random.default_rng(41), 6)
     trace = halley_solve(p, x0)
