@@ -6,16 +6,24 @@ method close in on it, and what error budget is available after k steps. The
 two flavors differ only in the majorant driving them: a cubic polynomial
 model under a Lipschitz bound on the second derivative, and the rational
 model used for analytic operators.
+
+Everything a certified verdict reports past its criterion follows from the
+majorant alone, so the radii, rate constant and schedule are cached per
+(majorant, ``seq_len``) in an LRU of 1,024 entries, next to the roots that
+``majorant`` caches per majorant. A repeated input, such as a table1
+coupling, reads them back; distinct inputs cannot grow the cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .majorant import (
+    _ROOTS_CACHE_SIZE,
     SMALE_CRITERION_BOUND,
     CubicMajorant,
     MajorantFunction,
@@ -151,6 +159,20 @@ def _certificate(kind: str, h: MajorantFunction, lhs: float, rhs: float,
             majorant_kind=kind, verdict="criterion_failed", criterion_lhs=lhs,
             criterion_rhs=rhs, t_star=None, uniqueness_radius=None,
             rate_constant=None, sequence=None, majorant=h)
+    t_star, t_out, rate, seq = _certified_parts(h, seq_len)
+    return ConvergenceCertificate(
+        majorant_kind=kind, verdict="certified", criterion_lhs=lhs,
+        criterion_rhs=rhs, t_star=t_star, uniqueness_radius=t_out,
+        rate_constant=rate, sequence=seq, majorant=h)
+
+
+@lru_cache(maxsize=_ROOTS_CACHE_SIZE)
+def _certified_parts(h: MajorantFunction,
+                     seq_len: int) -> tuple[float, float, float, MajorizingSequence]:
+    """(t*, t**, rate constant, schedule) of a certified h: a pure function
+    of (h, seq_len), so a repeated input reads them back, and immutable, so
+    every hit can share them. Errors are raised again on every call:
+    lru_cache keeps only returned values."""
     t_star = smallest_root(h)
     t_out = uniqueness_radius(h)
     rate = h.rate_constant()
@@ -161,10 +183,7 @@ def _certificate(kind: str, h: MajorantFunction, lhs: float, rhs: float,
                                  converged_at=0)
     else:
         seq = majorizing_sequence(h, max_iters=seq_len, tol=_DEFAULT_SEQ_TOL)
-    return ConvergenceCertificate(
-        majorant_kind=kind, verdict="certified", criterion_lhs=lhs,
-        criterion_rhs=rhs, t_star=t_star, uniqueness_radius=t_out,
-        rate_constant=rate, sequence=seq, majorant=h)
+    return t_star, t_out, rate, seq
 
 
 def kantorovich_certificate(inputs: KantorovichInputs,

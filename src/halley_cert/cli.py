@@ -273,7 +273,7 @@ def cmd_solve(args) -> int:
     summary = {
         "converged": trace.converged,
         "stop_reason": trace.stop_reason,
-        "iterations": len(trace.iterates),
+        "iterations": len(trace.step_norms),
         "final_residual": trace.residual_norms[-1],
         "q_order_estimate": trace.q_order_estimate,
         "certificate": None if cert is None else cert.verdict,

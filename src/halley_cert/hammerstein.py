@@ -45,6 +45,7 @@ without keeping it; audits and the dense path call it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -108,10 +109,14 @@ class HammersteinSpec:
         if not (math.isfinite(self.lam) and abs(self.lam) < LAMBDA_DOMAIN_LIMIT):
             raise ValueError(
                 f"lam must satisfy |lam| < {LAMBDA_DOMAIN_LIMIT:.6g}, got {self.lam}")
-        if self.power < 2:
-            raise ValueError(f"power must be at least 2, got {self.power}")
-        if self.nodes < 8:
-            raise ValueError(f"nodes must be at least 8, got {self.nodes}")
+        for name, least in (("power", 2), ("nodes", 8)):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
 def green_kernel(s, t):

@@ -31,6 +31,11 @@ h'(r1) = 0 reads 2a + 3c = 1. The coefficients are of order one for every
 valid input. g is convex on tau >= 0 with its minimum at 1, so the zeros
 exist iff g(1) <= 0, and Newton rises from g(0) = b >= 0 to tau*, and falls
 from tau = 4, where g(4) = b + 4 + 40c > 0, to tau**.
+
+The roots of each majorant are cached, up to 1,024 majorants, so repeated
+inputs such as the table1 couplings find them once; ``certificate`` caches
+the radii, rate constant and schedule per (majorant, seq_len) with the same
+bound.
 """
 
 from __future__ import annotations
@@ -76,9 +81,11 @@ SMALE_CRITERION_BOUND = 3.0 - 2.0 * math.sqrt(2.0)
 # Points of the grid on which A2 is sampled when no closed form decides it.
 _A2_GRID_SIZE = 64
 
-# Entries kept by the caches of the roots and of the minimum of h, which
-# roots() and a2_holds both read: repeated inputs still hit them, while a
-# sweep over distinct inputs cannot grow them without bound.
+# Entries kept by each LRU cache of a majorant's answers: here the roots and
+# the minimum of h, which roots() and a2_holds both read, and in
+# ``certificate`` the radii, rate and schedule of a certified (h, seq_len).
+# Repeated inputs, such as the table1 couplings, hit them, while a sweep over
+# distinct inputs cannot grow them without bound.
 _ROOTS_CACHE_SIZE = 1024
 
 
@@ -586,8 +593,9 @@ def smallest_root(h: MajorantFunction) -> float:
     delta in h(t*) moves t* by about delta / |h'(t*)|, which grows near the
     criterion boundary, where h'(t*) tends to 0.
 
-    The first of ``h.roots()``, cached. Raises NoRootError when h never
-    crosses zero, which is exactly the failure of the convergence criterion.
+    The first of ``h.roots()``, cached per majorant (up to 1,024 of them).
+    Raises NoRootError when h never crosses zero, which is exactly the
+    failure of the convergence criterion.
     """
     return _cached_roots(h)[0]
 

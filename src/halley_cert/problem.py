@@ -46,8 +46,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import lapack
 
 from .exceptions import LFNormExceededError, LinearSolveError
 
@@ -203,7 +201,14 @@ def _check_pivots(pivots: np.ndarray, column_scale: np.ndarray) -> None:
             f"(largest pivot {biggest:.3e}); treating the matrix as singular")
 
 
+# scipy.linalg is imported where a factorization is made, so that importing
+# the package, or using only its scalar certificates, loads no scipy; lu_factor
+# and lu_solve are still looked up on scipy.linalg at call time.
+
+
 def _lu_factor_checked(a: np.ndarray):
+    import scipy.linalg
+
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise LinearSolveError(f"expected a square matrix, got shape {a.shape}")
@@ -218,6 +223,8 @@ def _lu_factor_checked(a: np.ndarray):
 
 
 def _dense_factor(a: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    import scipy.linalg
+
     lu_piv = _lu_factor_checked(a)
     return lambda b: scipy.linalg.lu_solve(lu_piv, b)
 
@@ -225,6 +232,8 @@ def _dense_factor(a: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
 def _tridiagonal_factor(bands: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """gttrf factorization of a tridiagonal matrix in (3, n) storage, behind
     the guards of _lu_factor_checked; returns the gttrs solve."""
+    from scipy.linalg import lapack
+
     sup, diag, sub = bands[0, 1:], bands[1], bands[2, :-1]
     column_scale = np.abs(diag)
     column_scale[1:] = np.maximum(column_scale[1:], np.abs(sup))

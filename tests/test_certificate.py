@@ -32,7 +32,8 @@ from halley_cert import (
     solve_and_check,
     verify_error_bound,
 )
-from halley_cert.majorant import CubicMajorant, SmaleMajorant
+from halley_cert.certificate import _certified_parts
+from halley_cert.majorant import CubicMajorant, SmaleMajorant, _cached_roots
 from helpers import (
     linear_problem,
     random_certified_cubic,
@@ -439,10 +440,90 @@ def test_verify_error_bound_rejects_bad_inputs():
 
 
 def test_roots_cache_stays_bounded():
-    from halley_cert.majorant import _cached_roots
     _cached_roots.cache_clear()
+    _certified_parts.cache_clear()
     for k in range(2000):
         assert kantorovich_certificate(KantorovichInputs(0.1 + 1e-5 * k, 1.2, 1.2)).certified
-    info = _cached_roots.cache_info()
-    assert info.maxsize == 1024
-    assert info.currsize == info.maxsize
+    for cache in (_cached_roots, _certified_parts):
+        info = cache.cache_info()
+        assert info.maxsize == 1024
+        assert info.currsize == info.maxsize
+
+
+def _certificate_hex(cert):
+    """Every field of a certificate, floats as float.hex, so -0.0 != 0.0."""
+    def hexed(value):
+        if isinstance(value, float):
+            return value.hex()
+        if isinstance(value, tuple):
+            return tuple(hexed(v) for v in value)
+        return value
+
+    seq = cert.sequence
+    return (cert.majorant_kind, cert.verdict, hexed(cert.criterion_lhs),
+            hexed(cert.criterion_rhs), hexed(cert.t_star),
+            hexed(cert.uniqueness_radius), hexed(cert.rate_constant),
+            None if seq is None else (hexed(seq.points), hexed(seq.t_star),
+                                      hexed(seq.gaps), seq.converged_at))
+
+
+_CACHE_CASES = [
+    (kantorovich_certificate, (0.2, 1.2, 1.2)),
+    (kantorovich_certificate, (0.0, 1.2, 1.2)),
+    (kantorovich_certificate, (1e-160, 2e154, 1.0)),
+    (smale_certificate, (0.1, 0.5)),
+]
+
+
+@pytest.mark.parametrize("make, args", _CACHE_CASES)
+def test_cached_certificate_is_bit_identical_to_a_cold_one(make, args):
+    inputs_type = KantorovichInputs if make is kantorovich_certificate else SmaleInputs
+    _cached_roots.cache_clear()
+    _certified_parts.cache_clear()
+    cold_inputs = inputs_type(*args)
+    cold = make(cold_inputs, seq_len=6)
+    before = _certified_parts.cache_info()
+    # an equal but distinct instance: the hit must hand back the caller's
+    warm_inputs = inputs_type(*args)
+    warm = make(warm_inputs, seq_len=6)
+    after = _certified_parts.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+    assert _certificate_hex(warm) == _certificate_hex(cold)
+    assert warm.majorant is warm_inputs and cold.majorant is cold_inputs
+
+
+@pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0)])
+def test_cache_keeps_the_sign_of_a_zero_criterion_side(first, second):
+    # 0.0 and -0.0 make equal majorants, so they share an entry, but each
+    # certificate reports its own beta (json prints "lhs": -0 against 0)
+    for make, inputs in ((kantorovich_certificate, lambda b: KantorovichInputs(b, 1.2, 1.2)),
+                         (smale_certificate, lambda b: SmaleInputs(b, 0.5))):
+        for beta in (first, second):
+            cert = make(inputs(beta))
+            assert cert.certified
+            assert math.copysign(1.0, cert.criterion_lhs) == math.copysign(1.0, beta)
+
+
+def test_failed_and_rejected_inputs_stay_out_of_the_cache():
+    _certified_parts.cache_clear()
+    for _ in range(2):
+        failed = kantorovich_certificate(KantorovichInputs(0.9, 1.2, 1.2))
+        assert not failed.certified and failed.sequence is None
+        assert smale_certificate(SmaleInputs(1.0, 1.0)).verdict == "criterion_failed"
+    assert _certified_parts.cache_info().currsize == 0
+    # eta = 0 fails A1 after the criterion held: raised again on every call
+    for attempt in range(2):
+        with pytest.raises(AssumptionError, match="A1"):
+            kantorovich_certificate(KantorovichInputs(0.1, 0.0, 1.0))
+        info = _certified_parts.cache_info()
+        assert (info.currsize, info.misses) == (0, attempt + 1)
+
+
+def test_each_seq_len_has_its_own_cache_entry():
+    _certified_parts.cache_clear()
+    short, full = table_cert(seq_len=1), table_cert(seq_len=10)
+    assert _certified_parts.cache_info().currsize == 2
+    assert len(short.sequence.points) == 2
+    assert len(full.sequence.points) > 2
+    assert table_cert(seq_len=1).sequence == short.sequence
+    assert _certified_parts.cache_info().hits == 1

@@ -526,7 +526,7 @@ _GOLDEN = [
     ('solve hammerstein --lambda 0 --nodes 8 --format human', 0,
      'converged: true\n'
      'stop_reason: residual_below_tol\n'
-     'iterations: 1\n'
+     'iterations: 0\n'
      'final_residual: 0\n'
      'q_order_estimate: none\n'
      'certificate: none\n'
@@ -538,7 +538,7 @@ _GOLDEN = [
     ('solve hammerstein --lambda 0.5 --nodes 8 --power 4 --format human', 0,
      'converged: true\n'
      'stop_reason: residual_below_tol\n'
-     'iterations: 4\n'
+     'iterations: 3\n'
      'final_residual: 1.11022e-16\n'
      'q_order_estimate: 2.98171\n'
      'certificate: none\n'
@@ -550,7 +550,7 @@ _GOLDEN = [
     ('solve hammerstein --lambda 2 --power 4 --nodes 64 --max-iters 3', 4,
      'converged: false\n'
      'stop_reason: max_iters\n'
-     'iterations: 4\n'
+     'iterations: 3\n'
      'final_residual: 2.46258\n'
      'q_order_estimate: none\n'
      'certificate: none\n'

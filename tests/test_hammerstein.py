@@ -65,6 +65,17 @@ def test_spec_validation():
         discretize(HammersteinSpec(lam=1.0, forcing=lambda s: s - 0.5))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("nodes", 16.5), ("nodes", 16.0), ("nodes", "16"), ("power", 3.0), ("power", 2.5)])
+def test_spec_rejects_a_count_or_power_that_is_not_an_integer(field, value):
+    # a float count would otherwise fail deep inside numpy with a TypeError
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        solve_and_check(HammersteinSpec(lam=0.5, **{field: value}))
+    # numpy integers pass, as index types
+    spec = HammersteinSpec(lam=0.5, **{field: np.int64(16 if field == "nodes" else 3)})
+    assert solve_and_check(spec).trace.converged
+
+
 def test_green_kernel_values():
     assert green_kernel(0.25, 0.5) == pytest.approx(0.125)
     assert green_kernel(0.5, 0.25) == pytest.approx(0.125)

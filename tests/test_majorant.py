@@ -31,6 +31,7 @@ from halley_cert import (
     uniqueness_radius,
 )
 from halley_cert import majorant
+from halley_cert.certificate import _certified_parts
 from halley_cert.majorant import _cached_roots, _nudge_down
 from helpers import (
     SMALE_BOUND,
@@ -242,6 +243,7 @@ def test_scalar_certificates_call_no_numpy(monkeypatch):
     monkeypatch.setattr(np, "roots", refuse)
     monkeypatch.setattr(majorant, "np", None)
     _cached_roots.cache_clear()
+    _certified_parts.cache_clear()
     for args in [(0.2, 1.2, 1.2), (1e-160, 2e154, 1.0), (2.51e-277, 3.47e153, 1.39e-162),
                  (2.383314231173618e-114, 6.088981369790589e-171, 4.1888287133226865e+226)]:
         assert kantorovich_certificate(KantorovichInputs(*args)).certified

@@ -25,7 +25,9 @@ def test_exports_are_the_union_of_the_submodules():
 # certificate must record its own span; the certificates must enter the
 # root, schedule and assumption spans that certify-sweep times; the audit
 # must record its eval_second and lu_solve leaf calls under its own span;
-# the solve must pass through every layer the solve workload times.
+# the solve must pass through every layer the solve workload times. A
+# repeated certificate is read from the cache: it enters its own span but
+# none of the majorant spans, which a fresh input still enters.
 _TRACED_RUN = """
 import contextlib
 import io
@@ -42,6 +44,16 @@ assert names.count("majorant.rate_constant") == 2, names
 majorant_path = {"majorant.smallest_root", "majorant.uniqueness_radius",
                  "majorant.majorizing_sequence", "majorant.check_assumptions"}
 assert majorant_path <= set(names), sorted(majorant_path - set(names))
+
+majorant_spans = majorant_path | {"majorant.rate_constant"}
+for inputs, fresh in ((certificate.KantorovichInputs(0.2, 1.2, 1.2), False),
+                      (certificate.KantorovichInputs(0.3, 1.2, 1.2), True)):
+    del tracer.spans[:]
+    certificate.kantorovich_certificate(inputs)
+    names = {rec[3] for rec in tracer.spans}
+    assert "certificate.kantorovich" in names, names
+    entered = majorant_spans & names
+    assert entered == (majorant_spans if fresh else set()), (inputs, sorted(entered))
 
 p = hammerstein.discretize(hammerstein.HammersteinSpec(lam=1.0, nodes=8))
 certificate.check_initial_conditions(p, np.ones(8),
@@ -70,5 +82,35 @@ def test_bench_wrappers_find_their_targets():
         [str(ROOT / "src"), str(ROOT / "bench")]))
     run = subprocess.run(
         [sys.executable, "-c", _TRACED_RUN],
+        env=env, cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+
+
+# The scalar commands need no linear algebra, so a process that imports the
+# package and prints certificates and table1 must not pay for scipy.linalg;
+# a solve loads it where it factors.
+_SCALAR_RUN = """
+import contextlib
+import io
+import sys
+import halley_cert
+from halley_cert import cli
+assert "scipy.linalg" not in sys.modules, "import halley_cert"
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["certificate", "kantorovich", "--beta", "0.2", "--eta", "1.2",
+                     "--lip", "1.2", "--format", "json"]) == 0
+    assert cli.main(["certificate", "smale", "--beta", "0.1", "--gamma", "0.5"]) == 0
+    assert cli.main(["table1"]) == 0
+assert "scipy.linalg" not in sys.modules, "scalar commands"
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["solve", "hammerstein", "--lambda", "1", "--nodes", "8"]) == 0
+assert "scipy.linalg" in sys.modules, "solve"
+"""
+
+
+def test_scalar_commands_load_no_scipy_linalg():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run(
+        [sys.executable, "-c", _SCALAR_RUN],
         env=env, cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
