@@ -33,7 +33,8 @@ from .majorant import (
     smallest_root,
     uniqueness_radius,
 )
-from .problem import NonlinearProblem, SolveTrace, _dense_factor, _errors_to_final
+from .problem import (NonlinearProblem, SolveTrace, _dense_factor, _errors_to_final,
+                      _max_abs_row_sum)
 
 __all__ = [
     "KantorovichInputs",
@@ -250,11 +251,9 @@ def check_initial_conditions(p: NonlinearProblem, x0,
     residual_bound = h.value(0.0)
 
     units = np.eye(p.dim)
-    row_sums = np.zeros(p.dim)
-    for u in units:
-        block = np.array([p.eval_second(x0, u, v) for v in units], dtype=float).T
-        row_sums += np.abs(solve(block)).sum(axis=1)
-    second_norm = float(row_sums.max())
+    second_norm = _max_abs_row_sum(
+        solve, (np.array([p.eval_second(x0, u, v) for v in units], dtype=float).T
+                for u in units))
     second_bound = h.second_deriv(0.0)
     return InitialConditionsReport(
         residual_norm=float(residual_norm),

@@ -18,11 +18,15 @@ constant) is one method of ``MajorantFunction``, answered numerically for
 any h; the cubic and rational majorants override the first two with closed
 forms.
 
-Every zero is found by one routine, monotone Newton. Under A2 h is convex,
-so Newton's method cannot overshoot a zero: it rises monotonically from 0
-to t*, and falls monotonically to t** from any point past the minimum of h
-where h > 0. The minimum itself is the zero of the convex h', which Newton
-on h' approaches the same way from above.
+Every zero is estimated by one routine, monotone Newton, or by a closed
+form. Under A2 h is convex, so Newton's method cannot overshoot a zero: it
+rises monotonically from 0 to t*, and falls monotonically to t** from any
+point past the minimum of h where h > 0. The minimum itself is the zero of
+the convex h', which Newton on h' approaches the same way from above.
+
+One rule then settles both radii in floats, for every majorant: t** is the
+last float below R with h(t**) <= 0, and t* the last float below t** with
+h(t*) >= 0, each found by ``_sign_edge`` from its estimate.
 
 The cubic majorant is solved in scale-free form: its slope h' has one
 positive zero r1, and t = r1 tau gives h(t) = r1 g(tau) with g(tau) = b -
@@ -129,7 +133,8 @@ class MajorantFunction:
         where h(t_min) > 0, which is exactly the failure of the convergence
         criterion. Newton then rises from 0 to t*, and falls to t** from the
         first point with h > 0 that doubling finds above t_min. Both radii
-        are nudged to the safe side of rounding.
+        then sit at the edge of the sign of float h: t** is the last float
+        below R with h <= 0, and t* the last float below t** with h >= 0.
         """
         h0 = self.value(0.0)
         if h0 < 0.0:
@@ -150,10 +155,10 @@ class MajorantFunction:
         while True:
             t, last = _toward(t, bound), t
             if not last < t < bound:
-                # h stays nonpositive up to R
-                return _nudge_down(self, t_star, lambda v: v >= 0.0), bound
+                # h stays nonpositive up to R, which is t** itself
+                return _sign_edge(self, t_star, _nonnegative, bound), bound
             if self.value(t) > 0.0:
-                return _signed_pair(self, t_star, _monotone_newton(f, t, edge))
+                return _radii(self, t_star, _monotone_newton(f, t, edge))
 
     def a2_holds(self, t_star: float | None, notes: list[str]) -> bool:
         """Whether A2 holds; appends to ``notes`` why not.
@@ -297,13 +302,13 @@ class CubicMajorant(MajorantFunction):
                 "the convergence criterion fails")
         if g_min >= -_MERGE_TOL:
             # the criterion boundary: the zeros merge at r1 within rounding
-            return _signed_pair(self, r1, r1)
+            return _radii(self, r1, r1)
 
         def g(tau: float) -> tuple[float, float]:
             return b - tau + tau * tau * (a + c * tau), tau * (2.0 * a + 3.0 * c * tau) - 1.0
 
-        return _signed_pair(self, _newton_polish(self, r1 * _monotone_newton(g, 0.0, 1.0)),
-                            _newton_polish(self, r1 * _monotone_newton(g, 4.0, 1.0)))
+        return _radii(self, r1 * _monotone_newton(g, 0.0, 1.0),
+                      r1 * _monotone_newton(g, 4.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -367,11 +372,9 @@ class SmaleMajorant(MajorantFunction):
         # the roots of 2 gamma t^2 - (1 + alpha) t + beta multiply to
         # beta / (2 gamma); t* from that product does not cancel for small
         # alpha, where (1 + alpha - s) / (4 gamma) does. Halving the sum, not
-        # doubling beta, keeps t* finite wherever the true t* is. This form
-        # tends to land a float or two below the zero, hence the walk up.
-        t_star, t_far = _signed_pair(self, self.beta / (0.5 * (1.0 + a + s)),
-                                     (1.0 + a + s) / (4.0 * self.gamma))
-        return _walk_up(self, t_star, t_far), t_far
+        # doubling beta, keeps t* finite wherever the true t* is.
+        return _radii(self, self.beta / (0.5 * (1.0 + a + s)),
+                      (1.0 + a + s) / (4.0 * self.gamma))
 
 
 @dataclass(frozen=True)
@@ -499,57 +502,50 @@ def _minimum(h: MajorantFunction) -> float | None:
     return _monotone_newton(lambda t: (h.deriv(t), h.second_deriv(t)), hi, lo)
 
 
-def _newton_polish(h: MajorantFunction, t: float) -> float:
-    for _ in range(3):
-        slope = h.deriv(t)
-        if abs(slope) < 1e-300:
-            break
-        step = h.value(t) / slope
-        t_new = t - step
-        if not (0.0 <= t_new < h.domain_bound):
-            break
-        t = t_new
-        if abs(step) < 1e-17 * max(1.0, t):
-            break
-    return t
+def _sign_edge(h: MajorantFunction, t: float, keep: Callable[[float], bool],
+               limit: float) -> float:
+    """The float next to the estimate t, below ``limit``, where float h
+    stops having the sign ``keep`` wants: keep(h(e)) holds, and fails at the
+    next float up unless that float reaches ``limit``.
 
-
-def _nudge_down(h: MajorantFunction, t: float,
-                keep: Callable[[float], bool]) -> float:
-    """t if h(t) has the wanted sign, else the float below t that has it
-    while its upper neighbour has not.
-
-    Keeps t* on the h >= 0 side and t** on the h <= 0 side so that interval
-    properties (l_h >= 0, gaps >= 0) survive rounding. Near a double root
-    h is flat and the wrong-signed stretch can span thousands of floats, so
-    the walk down takes strides that double from one unit in the last
-    place, then bisects back to the float whose upper neighbour has the
-    wrong sign. Raises DegenerateRootError when no float in (0, t] has the
-    sign, as at the criterion boundary, where t* and t** merge in floating
-    point and h stays positive on every float. Raises NoRootError when t is
-    not finite: the zero lies past the float range.
+    The search runs up toward ``limit`` while the sign holds at t and down
+    while it fails. Near a double root h is flat and a stretch of one sign
+    can span thousands of floats, so strides double from one unit in the
+    last place and bisection then closes on the edge. A zero result is
+    +0.0. Raises DegenerateRootError when no float in (0, t] has the sign,
+    as at the criterion boundary, where t* and t** merge in floating point
+    and h stays positive on every float. Raises NoRootError when t is not
+    finite: the zero lies past the float range.
     """
-    t = float(t)
     if not math.isfinite(t):
         raise NoRootError(
             f"the zero of h is not a finite float ({t!r}); it lies past the float range")
-    if keep(h.value(t)):
-        return t
-    hi = t
+    last = math.nextafter(limit, 0.0)
+    t = min(t, last) + 0.0   # + 0.0 turns -0.0 into 0.0
     stride = math.ulp(t)
-    smallest = math.nextafter(0.0, 1.0)
+    if keep(h.value(t)):
+        lo = t
+        while lo < last:
+            hi = min(t + stride, last)
+            if not keep(h.value(hi)):
+                break
+            lo, stride = hi, 2.0 * stride
+        else:
+            return lo
+    else:
+        hi = t
+        smallest = math.nextafter(0.0, 1.0)
+        while True:
+            lo = max(t - stride, smallest)
+            if lo >= hi:
+                raise DegenerateRootError(
+                    f"no float in (0, {t!r}] gives h the sign wanted at a zero; "
+                    "the zeros of h have merged in floating point")
+            if keep(h.value(lo)):
+                break
+            hi, stride = lo, 2.0 * stride
     while True:
-        lo = max(t - stride, smallest)
-        if lo >= hi:
-            raise DegenerateRootError(
-                f"no float in (0, {t!r}] gives h the sign wanted at a zero; "
-                "the zeros of h have merged in floating point")
-        if keep(h.value(lo)):
-            break
-        hi = lo
-        stride *= 2.0
-    while True:
-        mid = 0.5 * (lo + hi)
+        mid = lo + 0.5 * (hi - lo)
         if mid in (lo, hi):
             return lo
         if keep(h.value(mid)):
@@ -558,28 +554,24 @@ def _nudge_down(h: MajorantFunction, t: float,
             hi = mid
 
 
-# how many floats _walk_up moves t* up at most
-_WALK_UP = 4
+def _nonnegative(v: float) -> bool:
+    return v >= 0.0
 
 
-def _walk_up(h: MajorantFunction, t: float, t_hi: float) -> float:
-    """t moved up while the next float keeps h >= 0, by at most _WALK_UP
-    floats and never onto t_hi: a t* that landed a float or two below the
-    zero, where _nudge_down leaves it, becomes the largest such float."""
-    for _ in range(_WALK_UP):
-        up = math.nextafter(t, math.inf)
-        if not (up < t_hi and h.value(up) >= 0.0):
-            break
-        t = up
-    return t
+def _nonpositive(v: float) -> bool:
+    return v <= 0.0
 
 
-def _signed_pair(h: MajorantFunction, t_lo: float, t_hi: float) -> tuple[float, float]:
-    """(t*, t**) nudged to h(t*) >= 0 and h(t**) <= 0; merged zeros stay."""
-    t_lo = _nudge_down(h, t_lo, lambda v: v >= 0.0)
-    if t_hi > t_lo:
-        t_hi = _nudge_down(h, t_hi, lambda v: v <= 0.0)
-    return (t_lo, t_hi)
+def _radii(h: MajorantFunction, t_lo: float, t_hi: float) -> tuple[float, float]:
+    """(t*, t**) from estimates of the two zeros of h: t** is the last float
+    below R with h <= 0, and t* the last float below t** with h >= 0.
+    Equal estimates are zeros merged within rounding; they stay one float,
+    the last at or below the estimate with h >= 0."""
+    if t_lo == t_hi:
+        t = _sign_edge(h, t_lo, _nonnegative, math.nextafter(t_lo, math.inf))
+        return t, t
+    t_hi = _sign_edge(h, t_hi, _nonpositive, h.domain_bound)
+    return _sign_edge(h, t_lo, _nonnegative, t_hi), t_hi
 
 
 @lru_cache(maxsize=_ROOTS_CACHE_SIZE)
@@ -588,10 +580,10 @@ def _cached_roots(h: MajorantFunction) -> tuple[float, float]:
 
 
 def smallest_root(h: MajorantFunction) -> float:
-    """Smallest t in [0, R) with h(t) = 0, as a float on the side of the
-    zero where h(t*) >= 0. Its accuracy is that of h: a rounding error
-    delta in h(t*) moves t* by about delta / |h'(t*)|, which grows near the
-    criterion boundary, where h'(t*) tends to 0.
+    """Smallest t in [0, R) with h(t) = 0, as the last float below t** with
+    float h(t*) >= 0. Its accuracy is that of h: a rounding error delta in
+    h(t*) moves t* by about delta / |h'(t*)|, which grows near the criterion
+    boundary, where h'(t*) tends to 0.
 
     The first of ``h.roots()``, cached per majorant (up to 1,024 of them).
     Raises NoRootError when h never crosses zero, which is exactly the
@@ -603,9 +595,10 @@ def smallest_root(h: MajorantFunction) -> float:
 def uniqueness_radius(h: MajorantFunction) -> float:
     """sup of the set {t in [t*, R): h(t) <= 0}, the uniqueness radius.
 
-    For both concrete majorants this is the second zero t**. If h stays
-    nonpositive all the way to R, R itself is returned and a warning notes
-    that the supremum is not attained.
+    For both concrete majorants this is the second zero t**, as the last
+    float below R with float h(t**) <= 0. If h stays nonpositive all the way
+    to R, R itself is returned and a warning notes that the supremum is not
+    attained.
     """
     radius = _cached_roots(h)[1]
     if radius == h.domain_bound:

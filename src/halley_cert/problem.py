@@ -329,6 +329,12 @@ def _one_solve_lf_norm(jac: np.ndarray, second: np.ndarray,
     return 0.5 * float(solve(_band_matvec(np.abs(second), ones)).max())
 
 
+def _max_abs_row_sum(solve: Callable[[np.ndarray], np.ndarray], blocks) -> float:
+    """The max absolute row sum of the matrix whose column blocks are
+    solve(block) for each of ``blocks``, one block in memory at a time."""
+    return float(sum(np.abs(solve(block)).sum(axis=1) for block in blocks).max())
+
+
 # columns of T^{-1} S per solve when |L_F| is summed without the matrix
 _LF_BLOCK = 64
 
@@ -369,21 +375,17 @@ class _Step:
                                 else self.second)
 
     def lf_norm(self) -> float:
-        """|L_F|: from the matrix on the dense path. Under the tridiagonal
-        form, one more solve where _one_solve_lf_norm proves it, else the
-        absolute row sums of T^{-1} S summed over blocks of _LF_BLOCK
-        columns, in O(n) memory."""
+        """|L_F|: from T^{-1} S in one block on the dense path. Under the
+        tridiagonal form, one more solve where _one_solve_lf_norm proves it,
+        else from T^{-1} S in blocks of _LF_BLOCK columns, in O(n) memory."""
         if not self.banded:
-            return NonlinearProblem.matrix_norm(self.lf())
+            return 0.5 * _max_abs_row_sum(self.solve, [self.second])
         norm = _one_solve_lf_norm(self.jac, self.second, self.solve)
         if norm is not None:
             return norm
-        n = self.d.size
-        row_sums = np.zeros(n)
-        for start in range(0, n, _LF_BLOCK):
-            block = _tridiagonal_dense(self.second, start, start + _LF_BLOCK)
-            row_sums += np.abs(self.solve(block)).sum(axis=1)
-        return 0.5 * float(row_sums.max())
+        return 0.5 * _max_abs_row_sum(
+            self.solve, (_tridiagonal_dense(self.second, start, start + _LF_BLOCK)
+                         for start in range(0, self.d.size, _LF_BLOCK)))
 
     def halley(self) -> np.ndarray:
         """The Halley correction: (A F'(x) - A B / 2) y = A F(x), the same

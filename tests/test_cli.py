@@ -13,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halley_cert import ConvergenceCertificate, SolveTrace, cli
+from halley_cert.certificate import _certified_parts
 from halley_cert.cli import main
+from halley_cert.majorant import _cached_roots
 from helpers import render_json_oracle
 
 TABLE_ARGS = ["certificate", "kantorovich",
@@ -57,6 +59,23 @@ def test_certificate_csv_and_human(capsys):
     assert rc2 == 0
     assert "kind: kantorovich" in out2
     assert "verdict: certified" in out2
+
+
+@pytest.mark.parametrize("order", [("-0", "0"), ("0", "-0")])
+def test_zero_beta_prints_a_positive_zero_radius_in_either_order(capsys, order):
+    # beta = -0.0 and 0.0 make equal majorants, which share one cache entry:
+    # the radius is +0.0 whichever came first, the criterion side keeps its sign
+    _cached_roots.cache_clear()
+    _certified_parts.cache_clear()
+    for kind, rest in (("smale", ["--gamma", "0.5"]),
+                       ("kantorovich", ["--eta", "1.2", "--lip", "1.2"])):
+        for beta in order:
+            rc, out, _ = run_cli(capsys, ["certificate", kind, f"--beta={beta}", *rest,
+                                          "--format", "json"])
+            assert rc == 0
+            assert f'"lhs": {beta},' in out
+            assert '"t_star": 0,' in out
+            assert '"apriori_errors": [0]' in out
 
 
 def test_certificate_failed_criterion_exit_code(capsys):

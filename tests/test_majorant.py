@@ -8,7 +8,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from halley_cert import (
@@ -32,7 +32,7 @@ from halley_cert import (
 )
 from halley_cert import majorant
 from halley_cert.certificate import _certified_parts
-from halley_cert.majorant import _cached_roots, _nudge_down
+from halley_cert.majorant import _cached_roots, _sign_edge
 from helpers import (
     SMALE_BOUND,
     closed_form_rate_constant,
@@ -50,6 +50,17 @@ def _callable_copy(h) -> CallableMajorant:
     return CallableMajorant(value_fn=h.value, deriv_fn=h.deriv,
                             second_deriv_fn=h.second_deriv, bound=h.domain_bound,
                             third_deriv_fn=h.third_deriv)
+
+
+def _scaled_majorant(log_eta, log_lip, log_gamma, log_share, cubic):
+    """A cubic (eta, lip) or Smale (gamma) majorant whose beta is the share
+    10 ** log_share of its criterion bound."""
+    share = 10.0 ** log_share
+    if cubic:
+        eta, lip = 10.0 ** log_eta, 10.0 ** log_lip
+        return CubicMajorant(CubicMajorant(0.0, eta, lip).criterion_bound() * share, eta, lip)
+    gamma = 10.0 ** log_gamma
+    return SmaleMajorant(SMALE_BOUND * share / gamma, gamma)
 
 
 def _assert_generic_roots_match(h):
@@ -190,24 +201,35 @@ def test_nudge_without_a_float_of_the_wanted_sign_raises():
     h = CubicMajorant(0.2, 1.2, 1.2)
     # h > 0 on all of (0, t*/2]
     with pytest.raises(DegenerateRootError):
-        _nudge_down(h, 0.5 * smallest_root(h), lambda v: v <= 0.0)
+        _sign_edge(h, 0.5 * smallest_root(h), lambda v: v <= 0.0, math.inf)
     with pytest.raises(DegenerateRootError):
-        _nudge_down(h, 0.0, lambda v: v < 0.0)
+        _sign_edge(h, 0.0, lambda v: v < 0.0, math.inf)
     # a zero past the float range: no stride from inf or nan ever lands
     for t in (math.inf, math.nan):
         with pytest.raises(NoRootError, match="float range"):
-            _nudge_down(h, t, lambda v: v >= 0.0)
+            _sign_edge(h, t, lambda v: v >= 0.0, math.inf)
+
+
+def _exact_h(h, t):
+    """h(t) of a cubic or Smale majorant in exact rationals, and 4 units of
+    roundoff of the sum of the magnitudes of its terms, the allowance of the
+    bench's certify oracle."""
+    t = Fraction(t)
+    if isinstance(h, CubicMajorant):
+        beta, eta, lip = map(Fraction, (h.beta, h.eta, h.lip))
+        terms = (beta, -t, eta * t * t / 2, lip * t ** 3 / 6)
+    else:
+        beta, gamma = map(Fraction, (h.beta, h.gamma))
+        terms = (beta, -t, gamma * t * t / (1 - gamma * t))
+    return sum(terms), sum(map(abs, terms)) * Fraction(4.0 * 2.0 ** -53)
 
 
 def _exact_cubic(args, t):
-    """h(t) of the cubic majorant in exact rationals, and the float
-    rounding allowance: 4 units of roundoff of h's terms plus 8 of the
-    smallest subnormals, the absolute floor of rounding below the normals."""
-    beta, eta, lip = map(Fraction, args)
-    t = Fraction(t)
-    terms = (beta, -t, eta * t * t / 2, lip * t ** 3 / 6)
-    allow = sum(map(abs, terms)) * Fraction(4.0 * 2.0 ** -53) + 8 * Fraction(2.0 ** -1074)
-    return sum(terms), allow
+    """``_exact_h`` of the cubic majorant with an allowance that also counts
+    8 of the smallest subnormals, the absolute floor of rounding below the
+    normals."""
+    value, allow = _exact_h(CubicMajorant(*args), t)
+    return value, allow + 8 * Fraction(2.0 ** -1074)
 
 
 def _assert_radii_bracket_the_zeros(args, t_star, t_out, rel):
@@ -221,6 +243,31 @@ def _assert_radii_bracket_the_zeros(args, t_star, t_out, rel):
     assert at_star >= -allow and past_star < 0
     (at_out, allow), (past_out, _) = _exact_cubic(args, t_out), _exact_cubic(args, past(t_out))
     assert at_out <= allow and past_out > 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(log_eta=st.floats(-100.0, 100.0), log_lip=st.floats(-100.0, 100.0),
+       log_gamma=st.floats(-100.0, 100.0), log_share=st.floats(-6.0, math.log10(0.999)),
+       cubic=st.booleans())
+# a Kantorovich t* that Newton left below the last float with h >= 0
+@example(log_eta=17.915427366133073, log_lip=-42.571018711284566, log_gamma=0.0,
+         log_share=-0.014073343041888009, cubic=True)
+def test_every_radius_sits_at_the_sign_edge_of_float_h(log_eta, log_lip, log_gamma,
+                                                      log_share, cubic):
+    h = _scaled_majorant(log_eta, log_lip, log_gamma, log_share, cubic)
+    for g in (h, _callable_copy(h)):
+        t_star, t_out = g.roots()
+        up_star, up_out = math.nextafter(t_star, math.inf), math.nextafter(t_out, math.inf)
+        # t* is the last float below t** with h >= 0, t** the last below R
+        # with h <= 0
+        assert g.value(t_star) >= 0.0
+        assert up_star >= t_out or g.value(up_star) < 0.0
+        assert g.value(t_out) <= 0.0
+        assert t_out == g.domain_bound or g.value(up_out) > 0.0
+        value, allow = _exact_h(h, t_star)
+        assert value >= -allow
+        value, allow = _exact_h(h, t_out)
+        assert value <= allow
 
 
 @settings(max_examples=300, deadline=None)
@@ -309,14 +356,8 @@ def test_generic_roots_of_cubics_far_from_unit_scale(args):
        cubic=st.booleans())
 def test_generic_roots_match_closed_forms_at_every_scale(log_eta, log_lip, log_gamma,
                                                          log_share, cubic):
-    share = 10.0 ** log_share
-    if cubic:
-        eta, lip = 10.0 ** log_eta, 10.0 ** log_lip
-        h = CubicMajorant(CubicMajorant(0.0, eta, lip).criterion_bound() * share, eta, lip)
-    else:
-        gamma = 10.0 ** log_gamma
-        h = SmaleMajorant(SMALE_BOUND * share / gamma, gamma)
-    _assert_generic_roots_match(h)
+    _assert_generic_roots_match(
+        _scaled_majorant(log_eta, log_lip, log_gamma, log_share, cubic))
 
 
 def test_uniqueness_radius_supremum_not_attained():
