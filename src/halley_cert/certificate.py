@@ -61,7 +61,7 @@ KantorovichInputs = CubicMajorant
 SmaleInputs = SmaleMajorant
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConvergenceCertificate:
     """Verdict plus the radii, rate constant and error schedule behind it.
 

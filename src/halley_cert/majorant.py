@@ -16,7 +16,8 @@ The structural assumptions used throughout:
 Each question of the theory (the zeros t* and t**, A2, the Q-cubic rate
 constant) is one method of ``MajorantFunction``, answered numerically for
 any h; the cubic and rational majorants override the first two with closed
-forms.
+forms. The Halley machinery (the step, the A1 check at 0 and the rate
+constant) reads h, h' and h'' through one evaluation, ``terms``.
 
 Every zero is estimated by one routine, monotone Newton, or by a closed
 form. Under A2 h is convex, so Newton's method cannot overshoot a zero: it
@@ -24,9 +25,13 @@ rises monotonically from 0 to t*, and falls monotonically to t** from any
 point past the minimum of h where h > 0. The minimum itself is the zero of
 the convex h', which Newton on h' approaches the same way from above.
 
-One rule then settles both radii in floats, for every majorant: t** is the
-last float below R with h(t**) <= 0, and t* the last float below t** with
-h(t*) >= 0, each found by ``_sign_edge`` from its estimate.
+One rule then settles both radii in floats, for every majorant: each is
+the sign edge of float h next to its estimate, found by ``_sign_edge``.
+h(t**) <= 0 and h > 0 at the next float up, unless that float reaches R;
+h(t*) >= 0 and h < 0 at the next float up, below t**. The edge is local:
+near a zero float h is rounding noise and can change sign again a few
+floats further on, so neither radius need be the last float of its sign,
+and neither is decided against the exact zero of h.
 
 The cubic majorant is solved in scale-free form: its slope h' has one
 positive zero r1, and t = r1 tau gives h(t) = r1 g(tau) with g(tau) = b -
@@ -98,12 +103,13 @@ class MajorantFunction:
     semilocal theorem asks of it.
 
     Subclasses provide h, h', h'' and ``third_deriv``, the left derivative
-    of h''. Each question is one method whose body here is the generic
-    numeric answer: ``roots`` runs monotone Newton for t* and t**,
-    ``a2_holds`` samples h'' on a grid, and ``rate_constant`` evaluates the
-    paper's formula at t*. ``CubicMajorant`` and ``SmaleMajorant`` override
-    the first two with closed forms; the rate constant has one body for
-    every h.
+    of h''. ``terms`` returns the first three from one call; see there for
+    when a subclass overrides it. Each question is one method whose body
+    here is the generic numeric answer: ``roots`` runs monotone Newton for
+    t* and t**, ``a2_holds`` samples h'' on a grid, and ``rate_constant``
+    evaluates the paper's formula at t*. ``CubicMajorant`` and
+    ``SmaleMajorant`` override the first two with closed forms; the rate
+    constant has one body for every h.
     """
 
     @property
@@ -124,6 +130,24 @@ class MajorantFunction:
         """Left derivative of h'' at t: the third derivative where h has one."""
         raise NotImplementedError
 
+    def terms(self, t: float) -> tuple[float, float, float]:
+        """(h(t), h'(t), h''(t)): the one evaluation that the Halley step,
+        the A1 check at 0 and the rate constant read.
+
+        This body calls the three methods. A subclass may override it with
+        the expressions of its value, deriv and second_deriv in one body,
+        bit for bit; a subclass that redefines any of those three without
+        redefining terms gets this body back, so terms always agrees with
+        them.
+        """
+        return self.value(t), self.deriv(t), self.second_deriv(t)
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = vars(cls)
+        if "terms" not in own and any(n in own for n in ("value", "deriv", "second_deriv")):
+            cls.terms = MajorantFunction.terms
+
     def roots(self) -> tuple[float, float]:
         """(t*, t**): the smallest zero of h and the uniqueness radius
         sup {t in [t*, R): h(t) <= 0}, which is R itself where h stays
@@ -133,8 +157,9 @@ class MajorantFunction:
         where h(t_min) > 0, which is exactly the failure of the convergence
         criterion. Newton then rises from 0 to t*, and falls to t** from the
         first point with h > 0 that doubling finds above t_min. Both radii
-        then sit at the edge of the sign of float h: t** is the last float
-        below R with h <= 0, and t* the last float below t** with h >= 0.
+        then sit at the sign edge of float h next to their estimates
+        (``_radii``): h(t**) <= 0 < h at the next float up, and h(t*) >= 0 >
+        h at the next float up.
         """
         h0 = self.value(0.0)
         if h0 < 0.0:
@@ -206,12 +231,12 @@ class MajorantFunction:
         h'(t*) vanishes.
         """
         t_star = smallest_root(self)
-        slope = self.deriv(t_star)
+        _, slope, second = self.terms(t_star)
         if slope >= -_SLOPE_FLOOR:
             raise DegenerateRootError(
                 f"h'(t*) = {slope:.6g} is not strictly negative; the rate constant "
                 "degenerates at the criterion boundary")
-        ratio = self.second_deriv(t_star) / slope
+        ratio = second / slope
         return ratio * (ratio / 3.0) + (2.0 / 9.0) * self.third_deriv(t_star) / (-slope)
 
 
@@ -245,6 +270,12 @@ class CubicMajorant(MajorantFunction):
 
     def second_deriv(self, t: float) -> float:
         return self.eta + self.lip * t
+
+    def terms(self, t: float) -> tuple[float, float, float]:
+        beta, eta, lip = self.beta, self.eta, self.lip
+        return (beta - t + 0.5 * eta * t * t + lip * t * t * t / 6.0,
+                -1.0 + eta * t + 0.5 * lip * t * t,
+                eta + lip * t)
 
     def third_deriv(self, t: float) -> float:
         return self.lip
@@ -345,6 +376,11 @@ class SmaleMajorant(MajorantFunction):
     def second_deriv(self, t: float) -> float:
         return 2.0 * self.gamma / (1.0 - self.gamma * t) ** 3
 
+    def terms(self, t: float) -> tuple[float, float, float]:
+        gamma = self.gamma
+        d = 1.0 - gamma * t
+        return self.beta - t + gamma * t * t / d, 1.0 / d ** 2 - 2.0, 2.0 * gamma / d ** 3
+
     def third_deriv(self, t: float) -> float:
         # gamma gamma: the product overflows to inf, where gamma ** 2 raises
         return 6.0 * self.gamma * self.gamma / (1.0 - self.gamma * t) ** 4
@@ -416,7 +452,7 @@ class CallableMajorant(MajorantFunction):
         return float(self.third_deriv_fn(t))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AssumptionReport:
     """Outcome of checking A1, A2, A3 for one majorant."""
 
@@ -432,7 +468,7 @@ class AssumptionReport:
         return self.a1_holds and self.a2_holds and self.a3_holds
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MajorizingSequence:
     """The scalar iteration t_{k+1} = H_h(t_k) from t_0 = 0.
 
@@ -563,10 +599,13 @@ def _nonpositive(v: float) -> bool:
 
 
 def _radii(h: MajorantFunction, t_lo: float, t_hi: float) -> tuple[float, float]:
-    """(t*, t**) from estimates of the two zeros of h: t** is the last float
-    below R with h <= 0, and t* the last float below t** with h >= 0.
+    """(t*, t**) from estimates of the two zeros of h, each at the sign edge
+    of float h next to its estimate: h(t**) <= 0, with h > 0 at the next
+    float up unless that float reaches R, and h(t*) >= 0, with h < 0 at the
+    next float up, below t**. Float h may take either sign again further up.
     Equal estimates are zeros merged within rounding; they stay one float,
-    the last at or below the estimate with h >= 0."""
+    the estimate itself where h >= 0 there, else the sign edge next below
+    it."""
     if t_lo == t_hi:
         t = _sign_edge(h, t_lo, _nonnegative, math.nextafter(t_lo, math.inf))
         return t, t
@@ -580,8 +619,9 @@ def _cached_roots(h: MajorantFunction) -> tuple[float, float]:
 
 
 def smallest_root(h: MajorantFunction) -> float:
-    """Smallest t in [0, R) with h(t) = 0, as the last float below t** with
-    float h(t*) >= 0. Its accuracy is that of h: a rounding error delta in
+    """Smallest t in [0, R) with h(t) = 0, as the float below t** next to
+    the estimate of that zero where float h(t*) >= 0 and h is negative at
+    the next float up. Its accuracy is that of h: a rounding error delta in
     h(t*) moves t* by about delta / |h'(t*)|, which grows near the criterion
     boundary, where h'(t*) tends to 0.
 
@@ -595,8 +635,9 @@ def smallest_root(h: MajorantFunction) -> float:
 def uniqueness_radius(h: MajorantFunction) -> float:
     """sup of the set {t in [t*, R): h(t) <= 0}, the uniqueness radius.
 
-    For both concrete majorants this is the second zero t**, as the last
-    float below R with float h(t**) <= 0. If h stays nonpositive all the way
+    For both concrete majorants this is the second zero t**, as the float
+    below R next to the estimate of that zero where float h(t**) <= 0 and h
+    is positive at the next float up. If h stays nonpositive all the way
     to R, R itself is returned and a warning notes that the supremum is not
     attained.
     """
@@ -617,15 +658,10 @@ def halley_ratio(h: MajorantFunction, t: float) -> float:
     On [0, t*] of a valid majorant this lies in [0, 1/4]; it measures how far
     the Halley correction deviates from the Newton one.
     """
-    return _halley_terms(h, t)[2]
-
-
-def _halley_terms(h: MajorantFunction, t: float) -> tuple[float, float, float]:
-    """h(t), h'(t) and L_h(t), from one evaluation of h, h' and h''."""
-    value, slope = h.value(t), h.deriv(t)
+    value, slope, second = h.terms(t)
     if abs(slope) < 1e-300:
         raise DegenerateRootError(f"h'({t}) vanishes, ratio undefined")
-    return value, slope, value * h.second_deriv(t) / (2.0 * slope * slope)
+    return value * second / (2.0 * slope * slope)
 
 
 def halley_map(h: MajorantFunction, t: float) -> float:
@@ -637,16 +673,20 @@ def halley_map(h: MajorantFunction, t: float) -> float:
 
 
 def _halley_step(h: MajorantFunction, t: float, t_star: float) -> float:
-    """``halley_map`` with t* already looked up."""
+    """``halley_map`` with t* already looked up: t - h / ((1 - L_h) h') from
+    one ``terms`` evaluation, with L_h as in ``halley_ratio``."""
     if not (0.0 <= t < t_star):
         raise ValueError(f"t = {t} is outside [0, t*) with t* = {t_star}")
-    value, slope, ratio = _halley_terms(h, t)
+    value, slope, second = h.terms(t)
+    if abs(slope) < 1e-300:
+        raise DegenerateRootError(f"h'({t}) vanishes, ratio undefined")
+    ratio = value * second / (2.0 * slope * slope)
     return t - value / ((1.0 - ratio) * slope)
 
 
 def check_assumptions(h: MajorantFunction) -> AssumptionReport:
-    """Check A1 exactly at 0, A2 in closed form or on a grid, A3 via root
-    finding.
+    """Check A1 exactly at 0, from one ``terms`` evaluation, A2 in closed
+    form or on a grid, A3 via root finding.
 
     A2 is ``h.a2_holds``: proven by the validated parameters of
     ``CubicMajorant`` and ``SmaleMajorant``, sampled on a grid otherwise.
@@ -658,9 +698,7 @@ def check_assumptions(h: MajorantFunction) -> AssumptionReport:
     h0: float | None = None
     a1 = True
     try:
-        h0 = h.value(0.0)
-        hp0 = h.deriv(0.0)
-        hpp0 = h.second_deriv(0.0)
+        h0, hp0, hpp0 = h.terms(0.0)
     except Exception as exc:  # diagnostic, not a crash
         a1 = False
         notes.append(f"evaluation at t = 0 failed: {exc}")
@@ -680,7 +718,7 @@ def check_assumptions(h: MajorantFunction) -> AssumptionReport:
     slope: float | None = None
     if h0 is not None and h0 == 0.0:
         t_star = 0.0
-        slope = h.deriv(0.0)
+        slope = hp0
         notes.append("h(0) = 0: start point is already the zero")
     elif h0 is not None and h0 > 0.0:
         try:
@@ -724,28 +762,29 @@ def majorizing_sequence(h: MajorantFunction, max_iters: int = 25,
         raise AssumptionError(report)
     t_star = report.t_star   # A3 holds, so this is smallest_root(h)
 
-    points = [0.0]
+    t = 0.0
+    points = [t]
     converged_at: int | None = None
     stagnated = False
     while True:
-        gap = t_star - points[-1]
-        if gap < tol:
+        if t_star - t < tol:
             converged_at = len(points) - 1
             break
         if stagnated or len(points) > max_iters:
             break
-        nxt = _halley_step(h, points[-1], t_star)
+        nxt = _halley_step(h, t, t_star)
         if nxt >= t_star:
             # rounding pushed past the root; settle on the largest float below
             nxt = math.nextafter(t_star, 0.0)
-        step = nxt - points[-1]
+        step = nxt - t
         if step <= 0.0:
             break
         points.append(nxt)
+        t = nxt
         if step < tol * t_star:
             stagnated = True
 
-    gaps = tuple(t_star - p for p in points)
+    gaps = tuple([t_star - p for p in points])
     return MajorizingSequence(points=tuple(points), t_star=t_star,
                               gaps=gaps, converged_at=converged_at)
 

@@ -210,6 +210,69 @@ def test_nudge_without_a_float_of_the_wanted_sign_raises():
             _sign_edge(h, t, lambda v: v >= 0.0, math.inf)
 
 
+def _float_above(t, k):
+    for _ in range(k):
+        t = math.nextafter(t, math.inf)
+    return t
+
+
+def test_radii_are_local_sign_edges_not_the_last_float_of_their_sign():
+    # each radius is the sign edge next to its estimate; float h is rounding
+    # noise near a zero and takes the kept sign again a few floats further up
+    h = CubicMajorant(0.23921713917748896, 1.9765650694775418, 0.7208895600460984)
+    t_star, t_out = h.roots()
+    assert (t_star, t_out) == (0.46291340195693276, 0.46964576905723787)
+    assert h.value(t_star) >= 0.0 > h.value(_float_above(t_star, 1))
+    assert h.value(_float_above(t_star, 38)) == 0.0
+    assert _float_above(t_star, 38) < t_out
+    assert h.value(t_out) <= 0.0 < h.value(_float_above(t_out, 1))
+    assert h.value(_float_above(t_out, 7)) == 0.0
+
+
+class _ShiftedCubic(CubicMajorant):
+    """Redefines value alone, so it must get the generic terms back."""
+
+    def value(self, t):
+        return CubicMajorant.value(self, t) + 1.0
+
+
+class _ShiftedSmale(SmaleMajorant):
+    """Redefines value alone, so it must get the generic terms back."""
+
+    def value(self, t):
+        return SmaleMajorant.value(self, t) + 1.0
+
+
+def _hex_or_error(evaluate, t):
+    try:
+        return tuple(v.hex() for v in evaluate(t))
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(log_eta=st.floats(-100.0, 100.0), log_lip=st.floats(-100.0, 100.0),
+       log_gamma=st.floats(-100.0, 100.0), log_share=st.floats(-6.0, math.log10(0.999)),
+       cubic=st.booleans(), share=st.floats(0.0, 1.0, exclude_max=True),
+       log_scale=st.floats(-110.0, 110.0), below=st.integers(0, 3))
+def test_terms_is_value_deriv_and_second_deriv_bit_for_bit(
+        log_eta, log_lip, log_gamma, log_share, cubic, share, log_scale, below):
+    h = _scaled_majorant(log_eta, log_lip, log_gamma, log_share, cubic)
+    if cubic:
+        t = share * 10.0 ** log_scale
+    elif below:
+        # the floats just below 1/gamma, where 1 - gamma t cancels
+        t = h.domain_bound
+        for _ in range(below):
+            t = math.nextafter(t, 0.0)
+    else:
+        t = share * h.domain_bound
+    shifted = (_ShiftedCubic if cubic else _ShiftedSmale)(*dataclasses.astuple(h))
+    assert type(shifted).terms is majorant.MajorantFunction.terms
+    for g in (h, shifted):
+        assert _hex_or_error(g.terms, t) == _hex_or_error(
+            lambda t: (g.value(t), g.deriv(t), g.second_deriv(t)), t)
+
 def _exact_h(h, t):
     """h(t) of a cubic or Smale majorant in exact rationals, and 4 units of
     roundoff of the sum of the magnitudes of its terms, the allowance of the
@@ -609,6 +672,61 @@ def test_halley_step_evaluates_once_per_point():
     ratio = halley_ratio(TABLE_CUBIC, 0.1)
     assert nxt == 0.1 - TABLE_CUBIC.value(0.1) / ((1.0 - ratio) * TABLE_CUBIC.deriv(0.1))
 
+
+def _textbook_schedule(h, max_iters=25, tol=1e-12):
+    """The Halley schedule from value, deriv and second_deriv alone."""
+    t_star = smallest_root(h)
+    points = [0.0]
+    while t_star - points[-1] >= tol and len(points) <= max_iters:
+        t = points[-1]
+        value, slope, second = h.value(t), h.deriv(t), h.second_deriv(t)
+        ratio = value * second / (2.0 * slope * slope)
+        nxt = min(t - value / ((1.0 - ratio) * slope), math.nextafter(t_star, 0.0))
+        if nxt <= t:
+            break
+        points.append(nxt)
+        if nxt - t < tol * t_star:
+            break
+    return points
+
+
+def test_schedule_matches_the_textbook_loop_bit_for_bit():
+    rng = np.random.default_rng(1913)
+    for k in range(600):
+        h = random_certified_cubic(rng) if k % 2 == 0 else random_certified_smale(rng)
+        seq = majorizing_sequence(h)
+        want = _textbook_schedule(h)
+        assert [p.hex() for p in seq.points] == [p.hex() for p in want], h
+        assert [g.hex() for g in seq.gaps] == [(seq.t_star - p).hex() for p in want], h
+
+
+@pytest.mark.parametrize("make, args", [
+    (kantorovich_certificate, (CubicMajorant, 0.2171, 1.2, 1.2)),
+    (smale_certificate, (SmaleMajorant, 0.1013, 0.5)),
+])
+def test_a_fresh_certificate_reads_terms_once_per_step_at_zero_and_at_t_star(make, args):
+    calls = []
+
+    class Counting(args[0]):
+        def terms(self, t):
+            calls.append(t)
+            return super().terms(t)
+
+    cert = make(Counting(*args[1:]), seq_len=25)
+    points = cert.sequence.points
+    assert len(points) > 3
+    # the rate constant at t*, A1 at 0, then one Halley step per point
+    assert calls == [cert.t_star, 0.0, *points[:-1]]
+
+
+def test_result_records_are_slotted_frozen_and_hashable():
+    cert = kantorovich_certificate(KantorovichInputs(0.2, 1.2, 1.2))
+    for record in (cert, cert.sequence, check_assumptions(TABLE_CUBIC)):
+        assert not hasattr(record, "__dict__")
+        copy = dataclasses.replace(record)
+        assert copy == record and hash(copy) == hash(record)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, dataclasses.fields(record)[0].name, None)
 
 def test_cubic_error_constant_frozen_values():
     assert cubic_error_constant(TABLE_CUBIC) == pytest.approx(1.961093857666584, rel=1e-12)
