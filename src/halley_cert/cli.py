@@ -95,9 +95,16 @@ def _render_json(value) -> str:
             f"{encode_basestring_ascii(str(k))}: {_render_json(v)}"
             for k, v in value.items())
         return "{" + body + "}"
+    if isinstance(value, np.ndarray):
+        # a 1-D float64 array of finite entries, such as an iterate, needs
+        # no scan of its items' types; any other goes as its list
+        if (value.ndim == 1 and value.dtype == np.float64
+                and np.isfinite(value).all()):
+            return "[" + floats_text(value.tolist()) + "]"
+        return _render_json(value.tolist())
     if isinstance(value, (list, tuple)):
-        # a list of finite floats, such as an iterate, skips the per-item
-        # dispatch; a sum that is not finite sends it down the general path
+        # a list of finite floats skips the per-item dispatch; a sum that
+        # is not finite sends it down the general path
         if set(map(type, value)) == {float} and math.isfinite(sum(value)):
             return "[" + floats_text(value) + "]"
         return "[" + ", ".join(map(_render_json, value)) + "]"
@@ -261,7 +268,7 @@ def cmd_solve(args) -> int:
     trace, cert, bounds = report.trace, report.certificate, report.error_bounds
     data = {
         "problem": {"lambda": spec.lam, "power": spec.power, "nodes": spec.nodes},
-        "trace": trace.to_json_dict(),
+        "trace": trace._json_record(),
         "certificate": None if cert is None else cert.to_json_dict(),
         "start_distance": report.start_distance,
         "containment_ok": report.containment_ok,

@@ -37,17 +37,24 @@ smaller residuals and correct it.
 
 F and the second-derivative action never build W either: W = G M_h with
 G[i, j] = G(s_i, s_j) and M_h the tridiagonal mass matrix of the hats, and
-G z takes two running sums (``_weights_times``). So a solve holds O(m)
+G z takes two running sums (``_weights_times``), evaluated in one pass over
+a (2, m) array whose second row is padded at its end. So a solve holds O(m)
 memory. Only ``eval_jacobian`` builds the dense W, anew on every call and
 without keeping it; audits and the dense path call it.
+
+The tables that depend on m alone (the grid, the hat-mass bands, 1 - s,
+and the bands of K and M) are built once per node count and kept, read-only,
+in an LRU cache of ``_TABLES_CACHED`` entries (``_grid_tables``), about 10
+floats per node each.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -90,6 +97,10 @@ __all__ = [
 # |lam| below 32/27.
 LAMBDA_DOMAIN_LIMIT = 8.0 / 3.0
 LAMBDA_CRITERION_LIMIT = 32.0 / 27.0
+
+# Node counts whose tables _grid_tables keeps; each entry holds about 10
+# floats per node (80 MB at 10^6 nodes).
+_TABLES_CACHED = 4
 
 
 @dataclass(frozen=True)
@@ -162,7 +173,8 @@ def _hat_mass(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _prefix_sums(a: np.ndarray) -> np.ndarray:
-    """Running sums of a, each addition's rounding error added back.
+    """Running sums of a along its last axis, each addition's rounding error
+    added back.
 
     np.cumsum adds in order; TwoSum recovers the exact error of every one
     of those additions (Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26,
@@ -170,36 +182,77 @@ def _prefix_sums(a: np.ndarray) -> np.ndarray:
     working precision, where a plain running sum of m terms can be off by
     m units in the last place.
     """
-    total = np.cumsum(a)
-    before, after = total[:-1], total[1:]
+    total = np.cumsum(a, axis=-1)
+    before, after = total[..., :-1], total[..., 1:]
     added = after - before
-    error = (before - (after - added)) + (a[1:] - added)
-    total[1:] += np.cumsum(error)
+    error = (before - (after - added)) + (a[..., 1:] - added)
+    total[..., 1:] += np.cumsum(error, axis=-1)
     return total
 
 
-def _weights_times(grid: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """v -> W v for W = quadrature_weights(grid), in O(m) without W.
+class _GridTables(NamedTuple):
+    """What the discrete system needs of the uniform grid of m nodes, all
+    read-only: the grid s, the hat-mass bands h6 and diag (``_hat_mass``),
+    rest = 1 - s, and the bands of K and M in (3, m) storage
+    (``_laplacian_form``)."""
+
+    grid: np.ndarray
+    h6: np.ndarray
+    diag: np.ndarray
+    rest: np.ndarray
+    laplacian: np.ndarray
+    mass: np.ndarray
+
+
+@functools.lru_cache(maxsize=_TABLES_CACHED)
+def _grid_tables(m: int) -> _GridTables:
+    grid = uniform_grid(m)
+    h6, diag = _hat_mass(grid)
+    inv_h2 = float((m - 1) ** 2)
+    laplacian = np.zeros((3, m))
+    laplacian[1] = 1.0
+    laplacian[1, 1:-1] = 2.0 * inv_h2
+    laplacian[0, 2:] = -inv_h2
+    laplacian[2, :-2] = -inv_h2
+    mass = np.zeros((3, m))
+    mass[1, 1:-1] = 4.0 / 6.0
+    mass[0, 2:] = 1.0 / 6.0
+    mass[2, :-2] = 1.0 / 6.0
+    tables = _GridTables(grid, h6, diag, 1.0 - grid, laplacian, mass)
+    for a in tables:
+        a.flags.writeable = False
+    return tables
+
+
+def _weights_times(tables: _GridTables) -> Callable[[np.ndarray], np.ndarray]:
+    """v -> W v for W = quadrature_weights(tables.grid), in O(m) without W.
 
     W = G M_h, where G[i, j] = G(s_i, s_j) and M_h is the tridiagonal mass
     matrix of the hat functions (G(s_i, .) is itself piecewise linear on the
     grid). With z = M_h v, (G z)_i = (1 - s_i) sum_{j <= i} s_j z_j
-    + s_i sum_{j > i} (1 - s_j) z_j, two running sums. The boundary rows
-    come out exactly zero.
+    + s_i sum_{j > i} (1 - s_j) z_j, two running sums. Both come from one
+    pass of ``_prefix_sums`` over a (2, m) array: row 0 holds s z, row 1
+    holds (1 - s) z from the last node down to node 1 and then a 0.0 pad.
+    The pad sits at the end, where its running sum is dropped; a leading
+    term for the last node, (1 - 1) z = 0 z, would turn an infinite z there
+    into nan. The boundary rows come out exactly zero.
     """
-    s = np.asarray(grid, dtype=float)
-    h6, diag = _hat_mass(s)
-    rest = 1.0 - s
+    s, h6, diag, rest = tables.grid, tables.h6, tables.diag, tables.rest
+    m = s.size
 
     def times(v):
         v = np.asarray(v, dtype=float)
         z = diag * v
         z[:-1] += h6 * v[1:]
         z[1:] += h6 * v[:-1]
-        below = _prefix_sums(s * z)
-        above = np.zeros_like(z)
-        above[:-1] = _prefix_sums((rest * z)[:0:-1])[::-1]
-        return rest * below + s * above
+        terms = np.empty((2, m))
+        np.multiply(s, z, out=terms[0])
+        np.multiply(rest[:0:-1], z[:0:-1], out=terms[1, :-1])
+        terms[1, -1] = 0.0
+        sums = _prefix_sums(terms)
+        above = np.zeros(m)
+        above[:-1] = sums[1, -2::-1]
+        return rest * sums[0] + s * above
 
     return times
 
@@ -224,11 +277,12 @@ def discretize(spec: HammersteinSpec) -> NonlinearProblem:
     the module docstring) instead; the Jacobian stays for audits and callers
     of their own.
     """
-    grid = uniform_grid(spec.nodes)
+    tables = _grid_tables(spec.nodes)
+    grid = tables.grid
     f_vec = _forcing_values(spec, grid)
     lam = spec.lam
     p = spec.power
-    w_times = _weights_times(grid)
+    w_times = _weights_times(tables)
 
     def eval_f(u):
         u = np.asarray(u, dtype=float)
@@ -248,28 +302,20 @@ def discretize(spec: HammersteinSpec) -> NonlinearProblem:
         eval_f=eval_f,
         eval_jacobian=eval_jacobian,
         eval_second=eval_second,
-        tridiagonal=_laplacian_form(spec.nodes, lam, p),
+        tridiagonal=_laplacian_form(tables, lam, p),
     )
 
 
-def _laplacian_form(m: int, lam: float, p: int) -> TridiagonalForm:
+def _laplacian_form(tables: _GridTables, lam: float, p: int) -> TridiagonalForm:
     """The Nystrom system premultiplied by K, with K W = M on the uniform
-    grid of m nodes, in (3, m) diagonal-ordered storage.
+    grid of the tables, in (3, m) diagonal-ordered storage.
 
     M diag(c) scales column j of M by c_j, which in this storage is column j
     of the bands, so both step matrices are the bands of K and M with the
     columns scaled.
     """
-    inv_h2 = float((m - 1) ** 2)
-    laplacian = np.zeros((3, m))
-    laplacian[1] = 1.0
-    laplacian[1, 1:-1] = 2.0 * inv_h2
-    laplacian[0, 2:] = -inv_h2
-    laplacian[2, :-2] = -inv_h2
-    mass = np.zeros((3, m))
-    mass[1, 1:-1] = 4.0 / 6.0
-    mass[0, 2:] = 1.0 / 6.0
-    mass[2, :-2] = 1.0 / 6.0
+    laplacian, mass = tables.laplacian, tables.mass
+    inv_h2 = float((tables.grid.size - 1) ** 2)
 
     def jacobian(u):
         u = np.asarray(u, dtype=float)
@@ -381,7 +427,7 @@ def solve_and_check(spec: HammersteinSpec, tol: float = 1e-12,
     forcing 1); other specs solve without one.
     """
     problem = discretize(spec)
-    u0 = _forcing_values(spec, uniform_grid(spec.nodes))
+    u0 = _forcing_values(spec, _grid_tables(spec.nodes).grid)
 
     if coeffs is None:
         trace = halley_solve(problem, u0, tol=tol, max_iters=max_iters)

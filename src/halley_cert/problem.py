@@ -159,8 +159,15 @@ class SolveTrace:
         return self.stop_reason in _CONVERGED_REASONS
 
     def to_json_dict(self) -> dict:
+        record = self._json_record()
+        record["iterates"] = [x.tolist() for x in record["iterates"]]
+        return record
+
+    def _json_record(self) -> dict:
+        """``to_json_dict`` with the iterates left as float64 arrays, which
+        the CLI renders without listing them first."""
         return {
-            "iterates": [np.asarray(x, dtype=float).tolist() for x in self.iterates],
+            "iterates": [np.asarray(x, dtype=float) for x in self.iterates],
             "residual_norms": list(map(float, self.residual_norms)),
             "step_norms": list(map(float, self.step_norms)),
             "lf_norms": list(map(float, self.lf_norms)),
@@ -546,8 +553,8 @@ def family_solve(p: NonlinearProblem, x0, coeffs: Sequence[float],
 
 def _errors_to_final(trace: SolveTrace) -> list[float]:
     """|x_k - x_final| for every iterate x_k of the trace, the last one 0."""
-    xs = [np.asarray(x, dtype=float) for x in trace.iterates]
-    return [vector_norm(x - xs[-1]) for x in xs]
+    xs = np.array(trace.iterates, dtype=float)
+    return np.abs(xs - xs[-1]).max(axis=1, initial=0.0).tolist()
 
 
 def estimate_q_order(trace: SolveTrace) -> float | None:

@@ -1,5 +1,6 @@
 """End-to-end command-line tests driven through main(argv)."""
 
+import hashlib
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -410,6 +412,22 @@ def test_keys_and_strings_render_as_json_dumps_writes_them(value):
     assert cli._render_json(value) == render_json_oracle(value)
 
 
+@pytest.mark.parametrize("a", [
+    np.array([0.1, -2.5e-300, 1e308, 3.0]),
+    np.array([1.0, math.inf, -math.inf, math.nan]),
+    np.array([-0.0, 0.0, -1e-320]),
+    np.array([]),
+    np.arange(6.0).reshape(2, 3) / 7.0,
+    np.array([[math.nan, -0.0]]),
+    np.arange(-3, 4),
+    np.array([0.1, 2.0], dtype=np.float32),
+    np.array(2.5),
+], ids=["finite", "not-finite", "signed-zeros", "empty", "2-d", "2-d-nan", "int",
+        "float32", "0-d"])
+def test_arrays_render_as_their_lists(a):
+    assert cli._render_json(a) == cli._render_json(a.tolist())
+
+
 # The exact bytes the command line prints, pinned in every format for the
 # certificates and the table, and in human format for the solves: their
 # 17-digit json and csv residuals rest on the rounding of the linear solves.
@@ -584,3 +602,30 @@ _GOLDEN = [
 @pytest.mark.parametrize("argv, code, stdout", _GOLDEN, ids=[g[0] for g in _GOLDEN])
 def test_golden_bytes(capsys, argv, code, stdout):
     assert run_cli(capsys, argv.split()) == (code, stdout, "")
+
+
+# sha256 of stdout for the solve requests of the solve-dense-512 bench mix,
+# as printed before the per-node-count tables and the one-pass running sums.
+# The digits rest on the rounding of LAPACK's tridiagonal solves, so another
+# LAPACK build may print others; on one build they must not move.
+_HALLEY_SERIES_8 = ",".join(repr(0.5 ** k) for k in range(8))
+_SOLVE_DIGESTS = [
+    ("halley", "0.8", "5f054b3ab2c9795034be6e585e4f8d2a6da1441136974ad8c0c174458338b421"),
+    ("chebyshev", "0.8", "19321c4d2bff266b1f44646afc9bac8c0be892ad2183c61ef45dfba854479994"),
+    ("family", "0.8", "df569c00a0400bf59dfcbe11dde9dd01ef9e3a219e771d71394178df0491bcb1"),
+    ("halley", "1.15", "b69435930480341f60e2f998865730709304acd2326a5cf7bc9d3344b89462c9"),
+    ("chebyshev", "1.15", "d81d7538ff9c6c7a1b479e101e5b472755bef0fcbc7ee97642055133ef666cda"),
+    ("family", "1.15", "483425cd5b0d2eb4062ccbac6c271c94080ded50aa19fa3ddcc6190e0e6724db"),
+]
+
+
+@pytest.mark.parametrize("method, lam, digest", _SOLVE_DIGESTS,
+                         ids=[f"{m}-{lam}" for m, lam, _ in _SOLVE_DIGESTS])
+def test_solve_json_bytes_at_512_nodes(capsys, method, lam, digest):
+    argv = ["solve", "hammerstein", "--nodes", "512", "--format", "json",
+            "--lambda", lam, "--method", method]
+    if method == "family":
+        argv += ["--coeffs", _HALLEY_SERIES_8]
+    rc, out, err = run_cli(capsys, argv)
+    assert (rc, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

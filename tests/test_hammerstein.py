@@ -269,6 +269,76 @@ def test_matrix_free_products_match_the_dense_weights():
                 1e-15 * 2.0 * np.max(np.abs(w) @ np.abs(v * u)))
 
 
+def _two_pass_prefix_sums(a):
+    total = np.cumsum(a)
+    before, after = total[:-1], total[1:]
+    added = after - before
+    error = (before - (after - added)) + (a[1:] - added)
+    total[1:] += np.cumsum(error)
+    return total
+
+
+def _two_pass_weights_times(grid, v):
+    """W v as two separate compensated running sums over 1-D arrays."""
+    h6 = np.diff(grid) / 6.0
+    diag = 2.0 * (np.concatenate([h6, [0.0]]) + np.concatenate([[0.0], h6]))
+    rest = 1.0 - grid
+    z = diag * v
+    z[:-1] += h6 * v[1:]
+    z[1:] += h6 * v[:-1]
+    below = _two_pass_prefix_sums(grid * z)
+    above = np.zeros_like(z)
+    above[:-1] = _two_pass_prefix_sums((rest * z)[:0:-1])[::-1]
+    return rest * below + grid * above
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(3, 600), seed=st.integers(0, 2 ** 32 - 1),
+       specials=st.integers(0, 4))
+def test_one_pass_running_sums_match_two_passes_bit_for_bit(n, seed, specials):
+    rng = np.random.default_rng(seed)
+    v = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300.0, 300.0, n)
+    v[rng.integers(0, n, specials)] = rng.choice([np.inf, -np.inf, np.nan], specials)
+    tables = hammerstein._grid_tables(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = hammerstein._weights_times(tables)(v)
+        want = _two_pass_weights_times(uniform_grid(n), v)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+    if specials == 0:
+        w = quadrature_weights(tables.grid)
+        tol = 8.0 * n * np.finfo(float).eps * (np.abs(w) @ np.abs(v)) + 1e-300
+        assert np.all(np.abs(got - w @ v) <= tol)
+
+
+def test_grid_tables_are_built_once_read_only_and_bounded():
+    hammerstein._grid_tables.cache_clear()
+    first = discretize(HammersteinSpec(lam=1.0, nodes=24))
+    second = discretize(HammersteinSpec(lam=0.0, power=4, nodes=24))
+    info = hammerstein._grid_tables.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    tables = hammerstein._grid_tables(24)
+    assert not any(a.flags.writeable for a in tables)
+    assert info.maxsize == hammerstein._TABLES_CACHED == 4
+    for m in range(8, 16):
+        hammerstein._grid_tables(m)
+    assert hammerstein._grid_tables.cache_info().currsize == 4
+
+    # every callback returns an array of its own: writing into what the
+    # callbacks of both problems returned changes none of their next calls
+    u, d = np.linspace(0.5, 1.2, 24), np.linspace(-1.0, 1.0, 24)
+    calls = [call for p, tri in ((first, first.tridiagonal), (second, second.tridiagonal))
+             for call in (lambda p=p: p.eval_f(u), lambda p=p: p.eval_jacobian(u),
+                          lambda p=p: p.eval_second(u, d, u), lambda t=tri: t.jacobian(u),
+                          lambda t=tri: t.second_matrix(u, d), lambda t=tri: t.apply(u))]
+    wants = [call().copy() for call in calls]
+    for call in calls:
+        call()[...] = 7.0
+    for call, want in zip(calls, wants):
+        assert np.array_equal(call(), want)
+
+
 def _counting_weights():
     calls = []
 

@@ -321,8 +321,10 @@ def test_every_radius_sits_at_the_sign_edge_of_float_h(log_eta, log_lip, log_gam
     for g in (h, _callable_copy(h)):
         t_star, t_out = g.roots()
         up_star, up_out = math.nextafter(t_star, math.inf), math.nextafter(t_out, math.inf)
-        # t* is the last float below t** with h >= 0, t** the last below R
-        # with h <= 0
+        # each radius is the local sign edge next to its estimate: h(t*) >= 0
+        # and h < 0 at the next float up (or t** is reached), h(t**) <= 0 and
+        # h > 0 at the next float up (or t** = R); float h may change sign
+        # again further up
         assert g.value(t_star) >= 0.0
         assert up_star >= t_out or g.value(up_star) < 0.0
         assert g.value(t_out) <= 0.0

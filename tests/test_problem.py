@@ -474,3 +474,16 @@ def test_trace_json_round_trip():
     # a payload without the key is a max-norm trace
     del payload["norm_kind"]
     assert SolveTrace.from_json_dict(payload).step_norms == trace.step_norms
+
+
+def test_errors_to_final_is_the_per_iterate_max_norm_bit_for_bit():
+    rng = np.random.default_rng(43)
+    for n, k in ((1, 1), (1, 5), (7, 4), (512, 4)):
+        xs = [rng.standard_normal(n) * 10.0 ** rng.uniform(-300, 300, n) for _ in range(k)]
+        if n > 1:
+            xs[0][1], xs[-1][0] = math.nan, -0.0
+        trace = SolveTrace(xs, [0.0] * k, [0.0] * (k - 1), [0.0] * (k - 1), "max_iters")
+        want = [problem.vector_norm(x - xs[-1]) for x in xs]
+        got = problem._errors_to_final(trace)
+        assert all(type(e) is float for e in got)
+        assert [e.hex() for e in got] == [e.hex() for e in want]
