@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._format import csv_text, float_text, floats_text, human_text
+from ._format import array_text, csv_text, float_text, floats_text, human_text
 from .certificate import (
     KantorovichInputs,
     SmaleInputs,
@@ -96,11 +96,12 @@ def _render_json(value) -> str:
             for k, v in value.items())
         return "{" + body + "}"
     if isinstance(value, np.ndarray):
-        # a 1-D float64 array of finite entries, such as an iterate, needs
-        # no scan of its items' types; any other goes as its list
+        # a 1-D float64 array of finite entries, such as an iterate, is
+        # written by array_text, with the bytes of its list; any other goes
+        # as its list
         if (value.ndim == 1 and value.dtype == np.float64
                 and np.isfinite(value).all()):
-            return "[" + floats_text(value.tolist()) + "]"
+            return "[" + array_text(value) + "]"
         return _render_json(value.tolist())
     if isinstance(value, (list, tuple)):
         # a list of finite floats skips the per-item dispatch; a sum that

@@ -257,16 +257,6 @@ def _weights_times(tables: _GridTables) -> Callable[[np.ndarray], np.ndarray]:
     return times
 
 
-def _forcing_values(spec: HammersteinSpec, grid: np.ndarray) -> np.ndarray:
-    """f at the grid nodes, which is also the start point u_0 = f."""
-    if spec.forcing is None:
-        return np.ones(grid.size)
-    f_vec = np.array([float(spec.forcing(float(s))) for s in grid])
-    if not np.all(f_vec > 0.0):
-        raise ValueError("forcing must be positive on the grid")
-    return f_vec
-
-
 def discretize(spec: HammersteinSpec) -> NonlinearProblem:
     """Nystrom system for the spec: F_i(u) = u_i - f(s_i) - lam sum_j w_ij u_j^p.
 
@@ -279,7 +269,12 @@ def discretize(spec: HammersteinSpec) -> NonlinearProblem:
     """
     tables = _grid_tables(spec.nodes)
     grid = tables.grid
-    f_vec = _forcing_values(spec, grid)
+    if spec.forcing is None:
+        f_vec = np.ones(spec.nodes)
+    else:
+        f_vec = np.array([float(spec.forcing(float(s))) for s in grid])
+        if not np.all(f_vec > 0.0):
+            raise ValueError("forcing must be positive on the grid")
     lam = spec.lam
     p = spec.power
     w_times = _weights_times(tables)
@@ -427,7 +422,9 @@ def solve_and_check(spec: HammersteinSpec, tol: float = 1e-12,
     forcing 1); other specs solve without one.
     """
     problem = discretize(spec)
-    u0 = _forcing_values(spec, _grid_tables(spec.nodes).grid)
+    # F(0) = -f exactly (W 0 = 0), so a user forcing runs once per node
+    u0 = (np.ones(spec.nodes) if spec.forcing is None
+          else -problem.eval_f(np.zeros(spec.nodes)))
 
     if coeffs is None:
         trace = halley_solve(problem, u0, tol=tol, max_iters=max_iters)

@@ -629,3 +629,22 @@ def test_solve_json_bytes_at_512_nodes(capsys, method, lam, digest):
     rc, out, err = run_cli(capsys, argv)
     assert (rc, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of stdout for two larger solves, taken before the array formatter:
+# at lambda = -1 the iterates straddle 1 (k = -1 and 0) and fill two chunks
+# of the formatter, and 4097 nodes leave a one-entry tail chunk.
+_LARGE_SOLVE_DIGESTS = [
+    ("-1", "5000", "13a444c428d33d8c44570f01b720bb48124f7dc81c523e2a0d0cade065695e88"),
+    ("1", "4097", "bdc68c75144557de4655503e872c5be02349fee6939c34cd352d4bca7923a52e"),
+]
+
+
+@pytest.mark.parametrize("lam, nodes, digest", _LARGE_SOLVE_DIGESTS,
+                         ids=[f"{lam}-{n}" for lam, n, _ in _LARGE_SOLVE_DIGESTS])
+def test_solve_json_bytes_at_thousands_of_nodes(capsys, lam, nodes, digest):
+    argv = ["solve", "hammerstein", "--lambda", lam, "--nodes", nodes,
+            "--format", "json"]
+    rc, out, err = run_cli(capsys, argv)
+    assert (rc, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

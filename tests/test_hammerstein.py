@@ -568,6 +568,24 @@ def test_solve_and_check_without_closed_form():
     assert square.containment_ok is None
 
 
+@pytest.mark.parametrize("coeffs", [None, (1.0, 0.5)])
+def test_a_user_forcing_runs_once_per_node_and_starts_the_solve(coeffs):
+    calls = []
+
+    def forcing(s):
+        calls.append(s)
+        return 1.0 + 0.3 * math.sin(math.pi * s)
+
+    spec = HammersteinSpec(lam=0.8, nodes=33, forcing=forcing)
+    report = solve_and_check(spec, coeffs=coeffs)
+    assert len(calls) == spec.nodes
+    assert report.trace.converged
+    # the start point is f at the nodes, bit for bit
+    u0 = np.asarray(report.trace.iterates[0])
+    expected = np.array([forcing(s) for s in np.linspace(0.0, 1.0, spec.nodes)])
+    assert u0.tobytes() == expected.tobytes()
+
+
 def test_solution_matches_across_literal_grid_refinement():
     # the grids 16/32/64 share only the interval endpoints, where the
     # solution equals the forcing exactly at every resolution
