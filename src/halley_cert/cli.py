@@ -14,7 +14,15 @@ Output format is human by default, overridden by the HALLEY_CERT_FORMAT
 environment variable, overridden in turn by --format. Each command builds
 its record once, as json data, csv rows and human lines, and ``_emit``
 prints the one the format asks for. ``_format`` decides the text of every
-scalar: 6 significant digits in human mode, 17 in json and csv modes.
+scalar: 6 significant digits in human mode, 17 in json and csv modes; a
+list of arrays, such as a trace's iterates, is written as one block.
+
+``main`` parses argv with the leaf parser its command words name (``solve
+hammerstein``, ``certificate kantorovich|smale``, ``table1``), read from the
+``leaves`` table that ``build_parser`` fills as it builds the one shared tree
+parser. Only an argv that names no leaf (help, a missing or an unknown
+command) goes through the tree. The values, ``error:`` lines, help texts and
+exits are the tree's own, as the leaf is the parser the tree would reach.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._format import array_text, csv_text, float_text, floats_text, human_text
+from ._format import csv_text, float_text, floats_text, human_text, rows_text
 from .certificate import (
     KantorovichInputs,
     SmaleInputs,
@@ -57,7 +65,14 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems as exceptions, not sys.exit(2),
     and reads a token that parses as a comma list of numbers, such as
-    -0.5,0.5, as a value rather than as an unknown option."""
+    -0.5,0.5, as a value rather than as an unknown option.
+
+    The tree's root holds ``leaves``: each leaf parser by the command words
+    that name it, with the values the tree's subparsers set for those words,
+    for example ("solve", "hammerstein") -> (its parser, {"command": "solve",
+    "problem": "hammerstein"})."""
+
+    leaves: dict
 
     def error(self, message):
         raise _UsageError(message)
@@ -96,20 +111,28 @@ def _render_json(value) -> str:
             for k, v in value.items())
         return "{" + body + "}"
     if isinstance(value, np.ndarray):
-        # a 1-D float64 array of finite entries, such as an iterate, is
-        # written by array_text, with the bytes of its list; any other goes
-        # as its list
-        if (value.ndim == 1 and value.dtype == np.float64
-                and np.isfinite(value).all()):
-            return "[" + array_text(value) + "]"
-        return _render_json(value.tolist())
+        return _arrays_json([value])[0]
     if isinstance(value, (list, tuple)):
         # a list of finite floats skips the per-item dispatch; a sum that
         # is not finite sends it down the general path
         if set(map(type, value)) == {float} and math.isfinite(sum(value)):
             return "[" + floats_text(value) + "]"
+        # a list of arrays, such as a trace's iterates, is written as a block
+        if value and all(isinstance(v, np.ndarray) for v in value):
+            return "[" + ", ".join(_arrays_json(value)) + "]"
         return "[" + ", ".join(map(_render_json, value)) + "]"
     raise TypeError(f"cannot render {type(value).__name__} as json")
+
+
+def _arrays_json(arrays) -> list[str]:
+    """The json of each array. The 1-D float64 arrays of finite entries go
+    to rows_text as one block, each written with the bytes of its list; any
+    other goes as its list."""
+    rows = [a.ndim == 1 and a.dtype == np.float64 and bool(np.isfinite(a).all())
+            for a in arrays]
+    texts = iter(rows_text([a for a, row in zip(arrays, rows) if row]))
+    return ["[" + next(texts) + "]" if row else _render_json(a.tolist())
+            for a, row in zip(arrays, rows)]
 
 
 def _human_lines(record: dict, pad: str = "") -> list[str]:
@@ -188,6 +211,13 @@ def build_parser() -> _Parser:
     ham.add_argument("--coeffs", type=str, default=None)
     for command in (kant, smale, tab, ham):
         command.add_argument("--format", choices=_FORMATS, default=None)
+    parser.leaves = {
+        ("certificate", "kantorovich"):
+            (kant, {"command": "certificate", "kind": "kantorovich"}),
+        ("certificate", "smale"): (smale, {"command": "certificate", "kind": "smale"}),
+        ("table1",): (tab, {"command": "table1"}),
+        ("solve", "hammerstein"): (ham, {"command": "solve", "problem": "hammerstein"}),
+    }
     return parser
 
 
@@ -304,9 +334,21 @@ def cmd_solve(args) -> int:
 _shared_parser = functools.cache(build_parser)
 
 
+def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
+    """The tree parser's namespace for argv, parsed by the leaf parser that
+    argv's first command words name, or by the tree where they name none."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    leaves = _shared_parser().leaves
+    for words in (tuple(argv[:1]), tuple(argv[:2])):
+        if words in leaves:
+            parser, named = leaves[words]
+            return parser.parse_args(argv[len(words):], argparse.Namespace(**named))
+    return _shared_parser().parse_args(argv)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = _shared_parser().parse_args(argv)
+        args = _parse_args(argv)
         if args.command == "certificate":
             return cmd_certificate(args)
         if args.command == "table1":

@@ -176,17 +176,17 @@ def _prefix_sums(a: np.ndarray) -> np.ndarray:
     """Running sums of a along its last axis, each addition's rounding error
     added back.
 
-    np.cumsum adds in order; TwoSum recovers the exact error of every one
-    of those additions (Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26,
-    2005), and their running sum corrects the result to about twice the
-    working precision, where a plain running sum of m terms can be off by
-    m units in the last place.
+    np.add.accumulate, which np.cumsum calls inside its wrapper, adds in
+    order; TwoSum recovers the exact error of every one of those additions
+    (Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26, 2005), and their running
+    sum corrects the result to about twice the working precision, where a
+    plain running sum of m terms can be off by m units in the last place.
     """
-    total = np.cumsum(a, axis=-1)
+    total = np.add.accumulate(a, axis=-1)
     before, after = total[..., :-1], total[..., 1:]
     added = after - before
     error = (before - (after - added)) + (a[..., 1:] - added)
-    total[..., 1:] += np.cumsum(error, axis=-1)
+    total[..., 1:] += np.add.accumulate(error, axis=-1)
     return total
 
 

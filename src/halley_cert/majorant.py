@@ -603,12 +603,14 @@ def _radii(h: MajorantFunction, t_lo: float, t_hi: float) -> tuple[float, float]
     of float h next to its estimate: h(t**) <= 0, with h > 0 at the next
     float up unless that float reaches R, and h(t*) >= 0, with h < 0 at the
     next float up, below t**. Float h may take either sign again further up.
-    Equal estimates are zeros merged within rounding; they stay one float,
-    the estimate itself where h >= 0 there, else the sign edge next below
-    it."""
-    if t_lo == t_hi:
-        t = _sign_edge(h, t_lo, _nonnegative, math.nextafter(t_lo, math.inf))
-        return t, t
+    Equal estimates are zeros merged within rounding. They stay one float,
+    the estimate, only where float h is 0 there, which t* and t** both
+    need; elsewhere the two edges are found as for separate estimates. So
+    where float h < 0 at the estimate, t* < estimate <= t**, and where
+    float h > 0 there and on every float below it that ``_sign_edge``
+    tries, no float is a zero of h and DegenerateRootError is raised."""
+    if t_lo == t_hi and h.value(t_lo) == 0.0:
+        return t_lo, t_lo
     t_hi = _sign_edge(h, t_hi, _nonpositive, h.domain_bound)
     return _sign_edge(h, t_lo, _nonnegative, t_hi), t_hi
 

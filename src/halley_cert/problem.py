@@ -236,26 +236,35 @@ def _dense_factor(a: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     return lambda b: scipy.linalg.lu_solve(lu_piv, b)
 
 
-def _tridiagonal_factor(bands: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+class _TridiagonalSolve:
+    """b -> T^{-1} b by gttrs, from gttrf's factors of the tridiagonal T;
+    ``magnitude`` is |T| in (3, n) storage, its two unused corners 0."""
+
+    __slots__ = ("_gttrs", "_factors", "magnitude")
+
+    def __init__(self, gttrs, factors, magnitude: np.ndarray):
+        self._gttrs, self._factors, self.magnitude = gttrs, factors, magnitude
+
+    def __call__(self, b: np.ndarray) -> np.ndarray:
+        return self._gttrs(*self._factors, b)[0]
+
+
+def _tridiagonal_factor(bands: np.ndarray) -> _TridiagonalSolve:
     """gttrf factorization of a tridiagonal matrix in (3, n) storage, behind
     the guards of _lu_factor_checked; returns the gttrs solve."""
     from scipy.linalg import lapack
 
-    sup, diag, sub = bands[0, 1:], bands[1], bands[2, :-1]
-    column_scale = np.abs(diag)
-    column_scale[1:] = np.maximum(column_scale[1:], np.abs(sup))
-    column_scale[:-1] = np.maximum(column_scale[:-1], np.abs(sub))
-    # np.maximum carries a nan or inf of any band into column_scale
-    if not np.isfinite(column_scale).all():
+    magnitude = np.abs(bands)
+    magnitude[0, 0] = magnitude[2, -1] = 0.0
+    # column j of the storage is column j of the matrix
+    column_scale = magnitude.max(axis=0)
+    # max carries a nan or inf of any band into the largest scale
+    if not column_scale.max() < math.inf:
         raise LinearSolveError("matrix contains non-finite entries")
-    dl, d, du, du2, ipiv, _ = lapack.dgttrf(sub, diag, sup)
+    dl, d, du, du2, ipiv, _ = lapack.dgttrf(bands[2, :-1], bands[1], bands[0, 1:])
     # gttrf stops at an exact zero pivot, which the guard below catches too
     _check_pivots(np.abs(d), column_scale)
-
-    def solve(b: np.ndarray) -> np.ndarray:
-        return lapack.dgttrs(dl, d, du, du2, ipiv, b)[0]
-
-    return solve
+    return _TridiagonalSolve(lapack.dgttrs, (dl, d, du, du2, ipiv), magnitude)
 
 
 def _tridiagonal_dense(bands: np.ndarray, start: int = 0,
@@ -309,9 +318,10 @@ _TINY = np.finfo(float).tiny
 
 
 def _one_solve_lf_norm(jac: np.ndarray, second: np.ndarray,
-                       solve: Callable[[np.ndarray], np.ndarray]) -> float | None:
+                       solve: _TridiagonalSolve) -> float | None:
     """The max-norm of L_F = (1/2) T^{-1} S for T = A F'(x) and S = A B in
-    (3, n) storage, with one solve; None where the shortcut is not proven.
+    (3, n) storage, with one solve of T's factorization; None where the
+    shortcut is not proven.
 
     A Z-matrix T (no positive off-diagonal) with T x > 0 for some x > 0 has
     T^{-1} >= 0 entrywise (Berman & Plemmons, Nonnegative Matrices in the
@@ -326,14 +336,18 @@ def _one_solve_lf_norm(jac: np.ndarray, second: np.ndarray,
     columns[0, 0] = columns[2, -1] = 0.0   # the unused corners
     if not ((columns.min(axis=0) >= 0.0) | (columns.max(axis=0) <= 0.0)).all():
         return None
-    ones = np.ones(jac.shape[1])
-    x = solve(ones)
-    if not (x > 0.0).all():
+    x = solve(np.ones(jac.shape[1]))
+    if not x.min() > 0.0:
         return None
-    floor = _POSITIVE_ROW_RTOL * _band_matvec(np.abs(jac), x) + _TINY
+    floor = _POSITIVE_ROW_RTOL * _band_matvec(solve.magnitude, x) + _TINY
     if not (_band_matvec(jac, x) > floor).all():
         return None
-    return 0.5 * float(solve(_band_matvec(np.abs(second), ones)).max())
+    # |S| 1, the row sums of |S|, in the order of _band_matvec's adds
+    magnitude = np.abs(columns)
+    row_sums = magnitude[1]
+    row_sums[:-1] += magnitude[0, 1:]
+    row_sums[1:] += magnitude[2, :-1]
+    return 0.5 * float(solve(row_sums).max())
 
 
 def _max_abs_row_sum(solve: Callable[[np.ndarray], np.ndarray], blocks) -> float:
@@ -441,6 +455,9 @@ def halley_step(p: NonlinearProblem, x: np.ndarray) -> np.ndarray:
 
 def _validate_family(coeffs: Sequence[float]) -> tuple[float, ...]:
     coeffs = tuple(float(c) for c in coeffs)
+    for c in coeffs:
+        if not math.isfinite(c):
+            raise ValueError(f"coefficients must be finite, got {c}")
     if len(coeffs) < 1:
         raise ValueError("the coefficient list must contain at least a_0")
     if abs(coeffs[0] - 1.0) > 1e-12:
@@ -485,6 +502,8 @@ def _solve_loop(p: NonlinearProblem, x0, tol: float, max_iters: int,
                 coeffs: tuple[float, ...] | None) -> SolveTrace:
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
+    if tol == math.inf:
+        raise ValueError("tol must be finite, got inf")
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     x = np.array(x0, dtype=float).reshape(p.dim)
@@ -552,19 +571,33 @@ def family_solve(p: NonlinearProblem, x0, coeffs: Sequence[float],
 
 
 def _errors_to_final(trace: SolveTrace) -> list[float]:
-    """|x_k - x_final| for every iterate x_k of the trace, the last one 0."""
+    """|x_k - x_final| for every iterate x_k of the trace, the last one 0.
+
+    Computed once per trace: the q-order fit, ``verify_error_bound`` and
+    the start distance of a report all read it. The list is kept on the
+    trace beside the iterate arrays it came from, and computed anew when
+    the trace holds other arrays; an iterate changed in place is not seen.
+    """
+    kept = getattr(trace, "_final_errors", None)
+    if (kept is not None and len(kept[0]) == len(trace.iterates)
+            and all(a is b for a, b in zip(kept[0], trace.iterates))):
+        return kept[1]
     xs = np.array(trace.iterates, dtype=float)
-    return np.abs(xs - xs[-1]).max(axis=1, initial=0.0).tolist()
+    errors = np.abs(xs - xs[-1]).max(axis=1, initial=0.0).tolist()
+    trace._final_errors = (list(trace.iterates), errors)
+    return errors
 
 
 def estimate_q_order(trace: SolveTrace) -> float | None:
     """Least-squares estimate of the convergence order from a trace.
 
     Treats the final iterate as the limit, forms errors e_k for the earlier
-    iterates and fits log e_{k+1} against log e_k. Errors at or below
-    100 * machine epsilon (scaled by the limit) are noise and are dropped.
-    Returns None for a trace that did not converge, whose last iterate is
-    no limit, and when fewer than four iterates or two usable pairs remain.
+    iterates and fits log e_{k+1} against log e_k: the slope of the
+    least-squares line, in closed form from centered sums. Errors at or
+    below 100 * machine epsilon (scaled by the limit) are noise and are
+    dropped. Returns None for a trace that did not converge, whose last
+    iterate is no limit, when fewer than four iterates or two usable pairs
+    remain, and when the usable log e_k are all equal, which fix no slope.
     """
     if not trace.converged or len(trace.iterates) < 4:
         return None
@@ -575,10 +608,12 @@ def estimate_q_order(trace: SolveTrace) -> float | None:
              if a > floor and b > floor]
     if len(pairs) < 2:
         return None
-    lx = np.array([p[0] for p in pairs])
-    ly = np.array([p[1] for p in pairs])
-    slope = np.polyfit(lx, ly, 1)[0]
-    return float(slope)
+    mean_x = sum(x for x, _ in pairs) / len(pairs)
+    mean_y = sum(y for _, y in pairs) / len(pairs)
+    sxx = sum((x - mean_x) * (x - mean_x) for x, _ in pairs)
+    if sxx == 0.0:
+        return None
+    return sum((x - mean_x) * (y - mean_y) for x, y in pairs) / sxx
 
 
 def second_derivative_from_tensor(tensor: np.ndarray):

@@ -4,9 +4,11 @@ import hashlib
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +118,114 @@ def test_one_parser_serves_every_call(capsys):
     assert rc == 1
     assert err == "error: --method family requires --coeffs\n"
     assert cli._shared_parser() is cli._shared_parser()
+
+
+_S = ["solve", "hammerstein"]
+_K = ["certificate", "kantorovich", "--beta", "0.2", "--eta", "1.2", "--lip", "1.2"]
+_SM = ["certificate", "smale", "--beta", "0.1", "--gamma", "0.5"]
+# every command, --flag=value, an abbreviation, values that start with "-",
+# help at each depth, unknown, repeated and missing flags, bad values, "--"
+# and extra positionals; the solves use 8 nodes
+_ARGV_MATRIX = [
+    [], ["-h"], ["--help"], ["frobnicate"], ["-x"], ["--lam", "1"], ["table"],
+    ["solve"], ["solve", "-h"], ["solve", "x"], ["solve", "--", "hammerstein"],
+    ["--", "table1"], ["certificate"], ["certificate", "-h"], ["certificate", "k"],
+    ["certificate", "kantorovich", "smale"],
+    _K, _K + ["--format", "json"], _K + ["-h"], _K[:4], _K + ["--lip"],
+    _K + ["--seq-len=3", "--format=csv"], _K + ["--beta", "0.3"],
+    _K + ["--beta", "inf"], _K + ["--eta", "abc"], _K + ["--seq-len", "2.5"],
+    ["certificate", "kantorovich", "--beta", "-1", "--eta", "1", "--lip", "1"],
+    _SM, _SM + ["-h"], _SM[:4], _SM + ["--format", "xml"], _SM + ["extra"],
+    ["table1"], ["table1", "-h"], ["table1", "-h", "--bogus"], ["table1", "extra"],
+    ["table1", "--lambdas", "-0.5,0.5", "--format", "json"], ["table1", "--lambdas=0.5,1"],
+    ["table1", "--lambdas"], ["table1", "--lambdas", "-x"], ["table1", "--lambdas", ","],
+    ["table1", "--seq-len", "-3"], ["table1", "--", "--lambdas", "1"],
+    _S, _S + ["-h"], _S + ["--bogus", "-h"], _S + ["--lam", "0.5", "--nodes", "8"],
+    _S + ["--lambda=0.5", "--nodes=8", "--format=json"],
+    _S + ["--lambda", "0.5", "--lambda", "0.7", "--nodes", "8"],
+    _S + ["--lambda", "-0.5,0.5"], _S + ["--lambda", "-1", "--nodes", "8"],
+    _S + ["--lambda", "0.5", "--nodes", "8", "extra"], _S + ["--lambda", "x"],
+    _S + ["--lambda", "0.5", "--", "--nodes", "8"], _S + ["--lambda", "0.5", "--nodes", "8", "--"],
+    _S + ["--lambda", "0.5", "--bogus"], _S + ["--lambda", "0.5", "--method", "quux"],
+    _S + ["--lambda", "0.5", "--nodes", "8", "--method", "family"],
+    _S + ["--lambda", "0.5", "--nodes", "8", "--method", "family", "--coeffs", "1,0.5"],
+    _S + ["--lambda", "0.5", "--nodes", "8", "--method", "family", "--coeffs", "1,0.5,nan"],
+    _S + ["--lambda", "0.5", "--nodes", "8", "--tol", "inf"],
+    _S + ["--lambda", "0.5", "--nodes", "8", "--fo", "csv"], _S + ["--nodes", "8"],
+]
+
+
+def _outcome(capsys, call, argv):
+    """What call(argv) returns, raises or exits with, and what it prints."""
+    try:
+        result = call(argv)
+    except cli._UsageError as exc:
+        result = ("usage error", str(exc))
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", _ARGV_MATRIX, ids=lambda argv: " ".join(argv) or "-")
+def test_leaf_dispatch_parses_as_the_tree(capsys, monkeypatch, argv):
+    # the same namespace, usage error, help text and exit, parsed alone and
+    # through main
+    monkeypatch.setenv("COLUMNS", "80")
+    tree = cli._shared_parser().parse_args
+    assert _outcome(capsys, cli._parse_args, argv) == _outcome(capsys, tree, argv)
+    through_leaf = _outcome(capsys, main, argv)
+    monkeypatch.setattr(cli, "_parse_args", tree)
+    assert through_leaf == _outcome(capsys, main, argv)
+
+
+# the required flags of each leaf
+_REQUIRED = {("certificate", "kantorovich"): _K[2:], ("certificate", "smale"): _SM[2:],
+             ("table1",): [], ("solve", "hammerstein"): ["--lambda", "0.5"]}
+
+
+def test_every_leaf_of_the_tree_is_in_the_dispatch_table(capsys, monkeypatch):
+    # the tree's help names the command words below each depth as "{a,b} ..."
+    monkeypatch.setenv("COLUMNS", "200")
+    tree = cli._shared_parser().parse_args
+    leaves, pending = {}, [()]
+    while pending:
+        words = pending.pop()
+        _, help_text, _ = _outcome(capsys, tree, list(words) + ["-h"])
+        below = re.search(r"\{([\w,]+)\} \.\.\.", help_text.split("\n\n")[0])
+        if below is None:
+            leaves[words] = help_text
+        else:
+            pending += [words + (w,) for w in below.group(1).split(",")]
+    assert set(leaves) == {("certificate", "kantorovich"), ("certificate", "smale"),
+                           ("table1",), ("solve", "hammerstein")}
+    table = cli._shared_parser().leaves
+    assert set(table) == set(leaves)
+    for words, (parser, named) in table.items():
+        assert parser.format_help() == leaves[words]
+        assert parser.prog == " ".join(("halley-cert",) + words)
+        assert tuple(named.values()) == words
+        # the names are the destinations the tree's namespace holds
+        args = tree(list(words) + _REQUIRED[words])
+        assert {k: getattr(args, k) for k in named} == named
+
+
+@pytest.mark.parametrize("coeffs", ["nan", "1,0.5,nan", "1,0.5,inf", "1,-inf"])
+def test_non_finite_family_coefficients_are_usage_errors(capsys, coeffs):
+    argv = ["solve", "hammerstein", "--lambda", "1", "--nodes", "16",
+            "--method", "family", "--coeffs", coeffs]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run_cli(capsys, argv)
+    bad = next(c for c in coeffs.split(",") if not math.isfinite(float(c)))
+    assert (rc, out) == (1, "")
+    assert err == f"error: coefficients must be finite, got {float(bad)}\n"
+
+
+def test_an_infinite_tol_is_a_usage_error(capsys):
+    rc, out, err = run_cli(capsys, ["solve", "hammerstein", "--lambda", "1",
+                                    "--nodes", "16", "--tol", "inf"])
+    assert (rc, out, err) == (1, "", "error: tol must be finite, got inf\n")
 
 
 def test_table1_csv_default_grid(capsys):
@@ -605,17 +715,19 @@ def test_golden_bytes(capsys, argv, code, stdout):
 
 
 # sha256 of stdout for the solve requests of the solve-dense-512 bench mix,
-# as printed before the per-node-count tables and the one-pass running sums.
+# as printed before the per-node-count tables and the one-pass running sums,
+# except for the last bits of q_order_estimate, retaken when the order fit
+# moved from np.polyfit to its closed form.
 # The digits rest on the rounding of LAPACK's tridiagonal solves, so another
 # LAPACK build may print others; on one build they must not move.
 _HALLEY_SERIES_8 = ",".join(repr(0.5 ** k) for k in range(8))
 _SOLVE_DIGESTS = [
     ("halley", "0.8", "5f054b3ab2c9795034be6e585e4f8d2a6da1441136974ad8c0c174458338b421"),
-    ("chebyshev", "0.8", "19321c4d2bff266b1f44646afc9bac8c0be892ad2183c61ef45dfba854479994"),
-    ("family", "0.8", "df569c00a0400bf59dfcbe11dde9dd01ef9e3a219e771d71394178df0491bcb1"),
-    ("halley", "1.15", "b69435930480341f60e2f998865730709304acd2326a5cf7bc9d3344b89462c9"),
-    ("chebyshev", "1.15", "d81d7538ff9c6c7a1b479e101e5b472755bef0fcbc7ee97642055133ef666cda"),
-    ("family", "1.15", "483425cd5b0d2eb4062ccbac6c271c94080ded50aa19fa3ddcc6190e0e6724db"),
+    ("chebyshev", "0.8", "c58ba12877575162466e23a2827cce8046712e645124fb5d0735e75eb270cb6c"),
+    ("family", "0.8", "5855acaf2ca3cca23eb3840ed6cad274e6b62333d2b8b2cf0879ed9252377518"),
+    ("halley", "1.15", "a7e963b186cad581fd8320e40075e5913242da9e41951f643da13515c4856654"),
+    ("chebyshev", "1.15", "098d4101d77d65ba988e052ce5237a0a8f4e7541e41cf2ea70c5163ab08bd314"),
+    ("family", "1.15", "f4c2283aa42157d05a1d6f4c458512c8f27689ee95ef9ec27622edd8552da924"),
 ]
 
 
@@ -631,12 +743,37 @@ def test_solve_json_bytes_at_512_nodes(capsys, method, lam, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# sha256 of stdout for two larger solves, taken before the array formatter:
+# sha256 of stdout for small solves, taken before the iterates were written
+# as one block, except for the last bits of q_order_estimate: each row is
+# below the vector path's crossover, a block of three rows of 33 or more is
+# not.
+_SMALL_SOLVE_DIGESTS = [
+    ("1", "8", "aeef2eb2e9968cdda930c41af177c4c213589fe171775f2c824b72b8a33ab079"),
+    ("-1", "8", "99ef30061be524ee3d8141ecefffc8c50167302ab933ff01ac5378fea1972161"),
+    ("1", "33", "2dbcbbb7c4e98db0f53e38ded6b110d121a2f57a55144f41ecab1124dd3acb92"),
+    ("-1", "33", "def00b0027dd9adc7a2e647fe89afc3d42aedb273fdb8e5c91b52eff3d82e2b6"),
+    ("1", "99", "535ced5c8f938b90c81626291d93292178d1c6151530cd03dfd6153188e96b00"),
+    ("-1", "99", "f791a2d6562bc2c77e6d59dc45ae1843df8a676f19365ab44eca692e3f1789dd"),
+]
+
+
+@pytest.mark.parametrize("lam, nodes, digest", _SMALL_SOLVE_DIGESTS,
+                         ids=[f"{lam}-{n}" for lam, n, _ in _SMALL_SOLVE_DIGESTS])
+def test_solve_json_bytes_at_a_few_nodes(capsys, lam, nodes, digest):
+    argv = ["solve", "hammerstein", "--lambda", lam, "--nodes", nodes,
+            "--format", "json"]
+    rc, out, err = run_cli(capsys, argv)
+    assert (rc, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of stdout for two larger solves, taken before the array formatter
+# (4097 nodes retaken for q_order_estimate's closed-form fit, as above):
 # at lambda = -1 the iterates straddle 1 (k = -1 and 0) and fill two chunks
 # of the formatter, and 4097 nodes leave a one-entry tail chunk.
 _LARGE_SOLVE_DIGESTS = [
     ("-1", "5000", "13a444c428d33d8c44570f01b720bb48124f7dc81c523e2a0d0cade065695e88"),
-    ("1", "4097", "bdc68c75144557de4655503e872c5be02349fee6939c34cd352d4bca7923a52e"),
+    ("1", "4097", "b1d77d0aff3743bb4584eccc2e28b9d4a20aac28dc394d57a8ce659e7ed5d840"),
 ]
 
 

@@ -1,4 +1,5 @@
-"""array_text writes a float64 array with the bytes of %.17g on its list."""
+"""rows_text writes float64 arrays, one row (array_text) or a block of them,
+with the bytes of %.17g on their lists."""
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halley_cert import _format, cli
-from halley_cert._format import _CHUNK, _CROSSOVER, array_text, floats_text
+from halley_cert._format import _CHUNK, _CROSSOVER, array_text, floats_text, rows_text
 
 _SPECIALS = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, np.inf, -np.inf, np.nan]
 
@@ -113,3 +114,73 @@ def test_in_range_chunks_take_the_vector_path(monkeypatch):
     assert array_text(np.ones(_CHUNK + 1)) == ", ".join(["1"] * (_CHUNK + 1))
     with pytest.raises(AssertionError, match=f"{_CHUNK} entries"):
         array_text(np.concatenate([[0.0], iterate]))
+
+
+def _iterate_like(rng, m):
+    """Entries in [1, 1.2), as the iterates of a Hammerstein solve: in the
+    vector path's range, so a block of them reaches it."""
+    return 1.0 + 0.2 * rng.random(m)
+
+
+_ROW_KINDS = dict(_KINDS, iterate=_iterate_like)
+# lengths whose rows sit below _CROSSOVER while a block of them is above it,
+# and lengths whose rows cross a _CHUNK boundary of the block
+_BLOCK_LENGTHS = [_CROSSOVER // 3 + 1, _CROSSOVER // 2, _CROSSOVER - 1, _CROSSOVER + 1,
+                  _CHUNK // 3 + 1, _CHUNK - 1, _CHUNK + 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(
+           st.sampled_from(sorted(_ROW_KINDS) + ["constant"]),
+           st.one_of(st.integers(0, 3 * _CROSSOVER), st.sampled_from(_BLOCK_LENGTHS)),
+           st.lists(st.sampled_from(_SPECIALS), max_size=3)),
+           min_size=1, max_size=6),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_a_block_of_rows_is_each_row_as_its_list(rows, seed):
+    # constant, short, out-of-range and iterate-like rows mixed in one block,
+    # some holding +-0, subnormals, +-inf or NaN
+    rng = np.random.default_rng(seed)
+    block = []
+    for kind, m, specials in rows:
+        if kind == "constant":
+            row = np.full(m, rng.choice(_SPECIALS + [1.0, -2.5e-7, 3e20]))
+        else:
+            row = _ROW_KINDS[kind](rng, m)
+            if m and specials:
+                row[rng.integers(m, size=len(specials))] = specials
+        block.append(row)
+    assert rows_text(block) == [floats_text(row.tolist()) for row in block]
+    assert cli._render_json(block) == cli._render_json([row.tolist() for row in block])
+
+
+def test_a_trace_block_takes_one_vector_pass(monkeypatch):
+    # u0 = 1 repeats one text; the three other iterates share one chunk, and
+    # rows too short for the vector path alone reach it as a block
+    rng = np.random.default_rng(11)
+    block = [np.ones(512)] + [_iterate_like(rng, 512) for _ in range(3)]
+    short = [row[:40] for row in block[1:]]
+    expected, expected_short = ([floats_text(row.tolist()) for row in rows]
+                                for rows in (block, short))
+    chunks = []
+    chunk_texts = _format._chunk_texts
+
+    def counted(segments):
+        chunks.append([s.size for s in segments])
+        return chunk_texts(segments)
+
+    def percent_path(values):
+        raise AssertionError(f"{len(values)} entries went down the % path")
+
+    monkeypatch.setattr(_format, "_chunk_texts", counted)
+    monkeypatch.setattr(_format, "floats_text", percent_path)
+    assert rows_text(block) == expected
+    assert chunks == [[512, 512, 512]]
+    chunks.clear()
+    assert rows_text(short) == expected_short
+    assert chunks == [[40, 40, 40]]
+    # a block longer than a chunk runs on across rows into the next chunk
+    chunks.clear()
+    long = [_iterate_like(rng, _CHUNK - 100), _iterate_like(rng, 300)]
+    assert rows_text(long) == [", ".join(["%.17g"] * r.size) % tuple(r.tolist())
+                               for r in long]
+    assert chunks == [[_CHUNK - 100, 100], [200]]

@@ -635,3 +635,33 @@ def test_solve_and_check_unconverged_has_no_audit():
     assert not report.trace.converged
     assert report.trace.stop_reason == "max_iters"
     assert report.error_bounds is None
+
+
+def test_a_report_computes_the_errors_to_the_final_iterate_once(monkeypatch):
+    # the q-order fit, verify_error_bound and the start distance each read
+    # the errors; all three get the one list computed for the trace
+    from halley_cert import certificate
+
+    computed = problem._errors_to_final
+    seen = []
+
+    def spy(trace):
+        seen.append(computed(trace))
+        return seen[-1]
+
+    for module in (problem, certificate, hammerstein):
+        monkeypatch.setattr(module, "_errors_to_final", spy)
+    report = solve_and_check(HammersteinSpec(lam=1.0, nodes=64))
+    assert report.error_bounds is not None and len(seen) == 3
+    assert seen[1] is seen[0] and seen[2] is seen[0]
+    assert report.start_distance == seen[0][0]
+    # a trace that holds other iterates gets its own errors
+    trace = report.trace
+    moved = dataclasses.replace(trace, iterates=[x + 1.0 for x in trace.iterates[:-1]]
+                                + [trace.iterates[-1]])
+    assert computed(moved) is not seen[0]
+    assert computed(moved) == [problem.vector_norm(x - moved.iterates[-1])
+                               for x in moved.iterates]
+    trace.iterates = trace.iterates[:-1]
+    assert computed(trace) == [problem.vector_norm(x - trace.iterates[-1])
+                               for x in trace.iterates]

@@ -377,10 +377,60 @@ def test_criterion_bound_where_the_slope_square_is_subnormal():
 
 def test_cubic_roots_merge_at_the_criterion_boundary():
     h = CubicMajorant(TABLE_CUBIC.criterion_bound(), 1.2, 1.2)
-    # g(1) is within rounding of 0: both zeros sit at the minimum r1
-    assert h.roots() == (h.slope_root(), h.slope_root())
+    r1 = h.slope_root()
+    # g(1) is within rounding of 0, but float h(r1) > 0: no float is a zero
+    # of h, so the merged zeros are no radii
+    assert h.value(r1) > 0.0
+    for radius in (CubicMajorant.roots, smallest_root, uniqueness_radius):
+        with pytest.raises(DegenerateRootError, match="merge"):
+            radius(h)
+    # one float lower, float h(r1) is 0: both zeros sit at the minimum r1
+    below = CubicMajorant(math.nextafter(h.beta, 0.0), 1.2, 1.2)
+    assert below.value(r1) == 0.0
+    assert below.roots() == (r1, r1)
+    # 40 floats below the bound the criterion holds and float h(r1) < 0: the
+    # zeros merge within rounding, yet t* and t** are two sign edges
+    near = CubicMajorant(0.3418593726458134, 1.2, 1.2)
+    assert near.beta < near.criterion_bound() and near.value(r1) < 0.0
+    t_star, t_far = near.roots()
+    assert t_star < r1 <= t_far
+    assert near.value(t_star) >= 0.0 > near.value(math.nextafter(t_star, math.inf))
+    assert near.value(t_far) <= 0.0 < near.value(math.nextafter(t_far, math.inf))
+    cert = kantorovich_certificate(KantorovichInputs(near.beta, 1.2, 1.2))
+    assert cert.certified
+    assert (cert.t_star, cert.uniqueness_radius) == (t_star, t_far)
     with pytest.raises(NoRootError):
         smallest_root(CubicMajorant(h.beta * (1.0 + 1e-12), 1.2, 1.2))
+
+
+def test_merged_radii_below_the_criterion_bound_keep_their_signs():
+    # beta 1 to 64 floats below the criterion bound: g(1) is within
+    # _MERGE_TOL of 0, so roots() takes its merged branch; every certified
+    # t** has float h <= 0 and every t* float h >= 0, each at its sign edge
+    rng = np.random.default_rng(2023)
+    merged = certified = 0
+    for _ in range(200):
+        eta, lip = rng.uniform(0.1, 3.0), math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
+        beta = CubicMajorant(1.0, eta, lip).criterion_bound()
+        for _ in range(rng.integers(1, 65)):
+            beta = math.nextafter(beta, 0.0)
+        h = CubicMajorant(beta, eta, lip)
+        r1 = h.slope_root()
+        g_at_1 = beta / r1 - 1.0 + 0.5 * eta * r1 + lip * r1 * r1 / 6.0
+        merged += abs(g_at_1) <= majorant._MERGE_TOL
+        try:
+            cert = kantorovich_certificate(h)
+        except DegenerateRootError:
+            continue   # h'(t*) is 0 in floats: the rate constant degenerates
+        assert cert.certified
+        t_star, t_far = cert.t_star, cert.uniqueness_radius
+        assert t_star <= t_far
+        assert h.value(t_star) >= 0.0 >= h.value(t_far)
+        assert h.value(math.nextafter(t_far, math.inf)) > 0.0
+        if t_star < t_far:
+            assert h.value(math.nextafter(t_star, math.inf)) < 0.0
+        certified += 1
+    assert merged >= 100 and certified >= 190
 
 
 def test_smale_beta_zero():

@@ -114,3 +114,38 @@ def test_scalar_commands_load_no_scipy_linalg():
         [sys.executable, "-c", _SCALAR_RUN],
         env=env, cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
+
+
+# Importing the command line, as a process that only certifies does, builds
+# no argparse parser and no formatter table: the parsers are built on the
+# first call of main, the tables on the first array the vector path writes.
+_IMPORT_RUN = """
+import argparse
+import contextlib
+import io
+import numpy as np
+built = []
+init = argparse.ArgumentParser.__init__
+def counted(self, *args, **kwargs):
+    built.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counted
+import halley_cert.cli
+from halley_cert import _format, cli
+assert built == [], built
+caches = (cli._shared_parser, _format._tables)
+assert [c.cache_info().currsize for c in caches] == [0, 0]
+assert [k for k, v in vars(_format).items() if isinstance(v, np.ndarray)] == []
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["solve", "hammerstein", "--lambda", "1", "--nodes", "64",
+                     "--format", "json"]) == 0
+assert built and [c.cache_info().currsize for c in caches] == [1, 1]
+"""
+
+
+def test_importing_the_cli_builds_no_parser_and_no_table():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run(
+        [sys.executable, "-c", _IMPORT_RUN],
+        env=env, cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr

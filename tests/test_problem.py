@@ -3,9 +3,12 @@
 import dataclasses
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from halley_cert import (
     LFNormExceededError,
@@ -487,3 +490,106 @@ def test_errors_to_final_is_the_per_iterate_max_norm_bit_for_bit():
         got = problem._errors_to_final(trace)
         assert all(type(e) is float for e in got)
         assert [e.hex() for e in got] == [e.hex() for e in want]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("at", [0, 1, 2, 3])
+def test_non_finite_family_coefficients_are_rejected(bad, at):
+    # NaN fails every comparison the other checks make
+    coeffs = [1.0, 0.5, 0.25, 0.125]
+    coeffs[at] = bad
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        family_step(scalar_sqrt2(), np.array([1.0]), coeffs)
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        family_solve(scalar_sqrt2(), np.array([1.0]), coeffs)
+
+
+def test_an_infinite_tol_is_rejected():
+    # every residual is below inf: the solve would stop at once as converged
+    with pytest.raises(ValueError, match="tol must be finite"):
+        halley_solve(scalar_sqrt2(), np.array([1.0]), tol=math.inf)
+    with pytest.raises(ValueError, match="tol must be finite"):
+        family_solve(scalar_sqrt2(), np.array([1.0]), (1.0, 0.5), tol=math.inf)
+
+
+def _polyfit_order(trace: SolveTrace) -> float | None:
+    """estimate_q_order as np.polyfit computes its slope."""
+    if not trace.converged or len(trace.iterates) < 4:
+        return None
+    last = trace.iterates[-1]
+    errors = [problem.vector_norm(x - last) for x in trace.iterates[:-1]]
+    floor = 100.0 * np.finfo(float).eps * max(1.0, problem.vector_norm(last))
+    pairs = [(math.log(a), math.log(b)) for a, b in zip(errors, errors[1:])
+             if a > floor and b > floor]
+    if len(pairs) < 2:
+        return None
+    return float(np.polyfit(*zip(*pairs), 1)[0])
+
+
+def _scalar_trace(errors) -> SolveTrace:
+    """A converged trace of scalar iterates whose errors to its final
+    iterate, 0, are ``errors``."""
+    k = len(errors) + 1
+    return SolveTrace([np.array([e]) for e in errors] + [np.array([0.0])],
+                      [0.0] * k, [0.0] * (k - 1), [0.0] * (k - 1), "residual_below_tol")
+
+
+def _exact_slope(trace: SolveTrace) -> Fraction:
+    """The least-squares slope of estimate_q_order's pairs, in rationals."""
+    errors = problem._errors_to_final(trace)[:-1]
+    pairs = [(Fraction(math.log(a)), Fraction(math.log(b)))
+             for a, b in zip(errors, errors[1:])]
+    mean_x = sum(x for x, _ in pairs) / len(pairs)
+    mean_y = sum(y for _, y in pairs) / len(pairs)
+    return (sum((x - mean_x) * (y - mean_y) for x, y in pairs)
+            / sum((x - mean_x) ** 2 for x, _ in pairs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(e0=st.floats(1e-4, 0.5), order=st.floats(1.1, 4.0),
+       factor=st.floats(0.05, 20.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_closed_form_order_fit_matches_polyfit_on_random_errors(e0, order, factor, seed):
+    # e_{k+1} = factor e_k^order, each perturbed by a random factor in
+    # [1/2, 2], while the errors fall at least tenfold a step: log e_k then
+    # spread over at least 2.3, so that polyfit's own error stays well
+    # below the tolerance (where they spread over 0.5, it reached 1.3e-14)
+    rng = np.random.default_rng(seed)
+    errors = [e0]
+    while len(errors) < 12:
+        e = factor * errors[-1] ** order * 2.0 ** rng.uniform(-1.0, 1.0)
+        if not 1e-13 < e < errors[-1] / 10.0:
+            break
+        errors.append(e)
+    assume(len(errors) >= 3)
+    trace = _scalar_trace(errors)
+    want = _polyfit_order(trace)
+    assert want is not None
+    got = estimate_q_order(trace)
+    assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+    assert abs(Fraction(got) / _exact_slope(trace) - 1) <= 1e-15
+
+
+def test_closed_form_order_fit_matches_polyfit_on_solver_traces():
+    from halley_cert.hammerstein import HammersteinSpec, discretize
+
+    fitted = 0
+    for nodes in (8, 33, 200, 512):
+        for lam in (-1.0, -0.5, 0.5, 1.0, 1.15):
+            spec = HammersteinSpec(lam=lam, nodes=nodes)
+            p = discretize(spec)
+            for coeffs in (None, (1.0,), (1.0, 0.5), HALLEY_COEFFS_60[:8]):
+                trace = (halley_solve(p, np.ones(nodes)) if coeffs is None
+                         else family_solve(p, np.ones(nodes), coeffs))
+                want = _polyfit_order(trace)
+                got = estimate_q_order(trace)
+                if want is None:
+                    assert got is None
+                    continue
+                fitted += 1
+                assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+    assert fitted >= 40
+
+
+def test_equal_log_errors_fix_no_order():
+    # every usable pair has the same log e_k: the fit has no slope
+    assert estimate_q_order(_scalar_trace([1e-3, 1e-3, 1e-3])) is None
